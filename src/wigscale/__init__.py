@@ -10,6 +10,7 @@ from .phase_space import (
     GridSpec,
     GridWigner,
     PositionDensity,
+    apply_linear_map,
     apply_partial_scaling,
     apply_scaling,
     apply_squeeze,

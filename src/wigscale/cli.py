@@ -44,13 +44,7 @@ def _render(columns, rows, meta, fmt: str) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _cell(value) -> str:
@@ -76,19 +70,17 @@ def _parse_state(token: str) -> int:
     return int(match.group(1))
 
 
-def _make_grid(args, scale: float) -> phase_space.GridSpec:
-    points = args.grid if args.grid is not None else phase_space.DEFAULT_POINTS
-    extent = args.extent if args.extent is not None else 8.0 * max(1.0, 1.0 / abs(scale))
-    return phase_space.GridSpec(extent, points)
+def _make_grid(args, state: phase_space.AnalyticWigner) -> phase_space.GridSpec:
+    if args.extent is None:
+        return phase_space.default_grid(state, args.grid)
+    return phase_space.GridSpec(args.extent, args.grid)
 
 
 def _state_pipeline(args):
-    """Shared state -> grid -> moments plumbing for uncertainty/spectrum runs."""
-    index = _parse_state(args.state)
-    state = phase_space.AnalyticWigner(index, args.lam, args.kappa)
-    spec = _make_grid(args, args.lam)
-    grid = phase_space.sample_to_grid(state, spec)
-    return state, grid
+    """The requested state sampled on its grid, and the metadata naming it."""
+    state = phase_space.AnalyticWigner(_parse_state(args.state), args.lam, args.kappa)
+    grid = phase_space.sample_to_grid(state, _make_grid(args, state))
+    return grid, {"state": args.state, "lambda": args.lam, "kappa": args.kappa}
 
 
 def _sr_report(m: moments.SecondMoments):
@@ -109,9 +101,10 @@ def _run_fidelity(args) -> str:
         raise ValueError("--steps must be at least 2")
     rows = []
     for lam in np.linspace(args.lam_min, args.lam_max, args.steps):
-        spec = _make_grid(args, lam)
+        state = phase_space.AnalyticWigner(1, lam)
+        spec = _make_grid(args, state)
         ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
-        scaled = phase_space.sample_to_grid(phase_space.AnalyticWigner(1, lam), spec)
+        scaled = phase_space.sample_to_grid(state, spec)
         quad = phase_space.overlap(ground, scaled)
         rows.append([lam, quad, _closed_form_fidelity(lam), -2.0 * lam**2])
     columns = ["lambda", "overlap_quadrature", "overlap_closed_form", "small_lambda_leading_term"]
@@ -119,7 +112,7 @@ def _run_fidelity(args) -> str:
 
 
 def _run_uncertainty(args) -> str:
-    _, grid = _state_pipeline(args)
+    grid, meta = _state_pipeline(args)
     m = moments.moments_from_grid(grid)
     value, eigenvalues, verdict = _sr_report(m)
     columns = [
@@ -132,21 +125,17 @@ def _run_uncertainty(args) -> str:
         "sr_verdict",
     ]
     rows = [[m.sigma_qq, m.sigma_pp, m.sigma_qp, value, eigenvalues[0], eigenvalues[-1], verdict]]
-    meta = {"state": args.state, "lambda": args.lam, "kappa": args.kappa}
     return _render(columns, rows, meta, args.format)
 
 
 def _run_spectrum(args) -> str:
-    _, grid = _state_pipeline(args)
+    grid, meta = _state_pipeline(args)
     m = moments.moments_from_grid(grid)
     value, _, verdict = _sr_report(m)
     density = phase_space.wigner_to_density(grid)
     projected = fock_space.project_state(density, args.dim)
     spec = fock_space.spectrum(projected)
-    meta = {
-        "state": args.state,
-        "lambda": args.lam,
-        "kappa": args.kappa,
+    meta |= {
         "dim": args.dim,
         "trace": spec.trace,
         "truncation_deficit": spec.truncation_deficit,
@@ -179,7 +168,9 @@ def _load_covariance(path: str) -> gaussian_cv.CovarianceMatrix:
     for key in ("modes", "ordering", "matrix"):
         if key not in payload:
             raise ValueError(f"covariance file missing key {key!r}")
-    modes = int(payload["modes"])
+    modes = payload["modes"]
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
+        raise ValueError(f"\"modes\" must be a positive integer, got {modes!r}")
     ordering = payload["ordering"]
     if ordering not in ("q-block-p-block", "interleaved"):
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -208,7 +199,7 @@ def _run_separability(args) -> str:
         "scaled_modes": ",".join(str(m) for m in sorted(modes)),
     }
     rows = [
-        [lam, low, lam in report.violations, abs(lam) <= 1.0 + 1e-12]
+        [lam, low, lam in report.violations, lam not in report.outside_criterion]
         for lam, low in zip(report.lam_grid, report.min_eigenvalues)
     ]
     columns = ["lambda", "min_eigenvalue", "violation", "within_criterion"]
@@ -226,22 +217,24 @@ def _run_tmsv(args) -> str:
 
 
 def _run_roundtrip(args) -> str:
-    _, grid = _state_pipeline(args)
+    grid, meta = _state_pipeline(args)
     density = phase_space.wigner_to_density(grid)
     back = phase_space.density_to_wigner(density)
     n = grid.spec.points_per_axis
     inner = slice(n // 4, 3 * n // 4)
     max_error = float(np.abs(back.values[inner, inner] - grid.values[inner, inner]).max())
     norm_drift = abs(back.norm() - grid.norm())
-    meta = {
-        "state": args.state,
-        "lambda": args.lam,
-        "kappa": args.kappa,
-        "grid_points": grid.spec.points_per_axis,
-        "extent": grid.spec.extent,
-    }
+    meta |= {"grid_points": grid.spec.points_per_axis, "extent": grid.spec.extent}
     rows = [[max_error, norm_drift]]
     return _render(["max_abs_error_interior", "norm_drift"], rows, meta, args.format)
+
+
+def finite_float(token: str) -> float:
+    """argparse type: like float, but nan and inf are invalid values."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(token)
+    return value
 
 
 def _add_common(parser, default_format="csv"):
@@ -250,14 +243,14 @@ def _add_common(parser, default_format="csv"):
 
 
 def _add_grid_options(parser):
-    parser.add_argument("--grid", type=int, default=None, help="points per axis")
-    parser.add_argument("--extent", type=float, default=None, help="half-width of the grid")
+    parser.add_argument("--grid", type=int, default=phase_space.DEFAULT_POINTS, help="points per axis")
+    parser.add_argument("--extent", type=finite_float, default=None, help="half-width of the grid")
 
 
 def _add_state_options(parser):
     parser.add_argument("--state", required=True, help="state spec, e.g. fock1")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0, help="scaling parameter")
-    parser.add_argument("--kappa", type=float, default=1.0, help="squeeze parameter")
+    parser.add_argument("--lambda", dest="lam", type=finite_float, default=1.0, help="scaling parameter")
+    parser.add_argument("--kappa", type=finite_float, default=1.0, help="squeeze parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fid = sub.add_parser("fidelity", help="overlap of the ground state with the scaled first excited state")
-    fid.add_argument("--lambda-min", dest="lam_min", type=float, required=True)
-    fid.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
+    fid.add_argument("--lambda-min", dest="lam_min", type=finite_float, required=True)
+    fid.add_argument("--lambda-max", dest="lam_max", type=finite_float, required=True)
     fid.add_argument("--steps", type=int, required=True)
     _add_grid_options(fid)
     _add_common(fid)
@@ -295,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--modes", required=True, help="comma-separated 1-based mode indices to scale")
     sep.add_argument("--lambda-grid", dest="lambda_grid", default="default",
                      help="'default', 'start:stop:count', or comma-separated values")
-    sep.add_argument("--tol", type=float, default=gaussian_cv.SCAN_TOL)
+    sep.add_argument("--tol", type=finite_float, default=gaussian_cv.SCAN_TOL)
     _add_common(sep, default_format="json")
     sep.set_defaults(func=_run_separability)
 
     tms = sub.add_parser("tmsv", help="write a two-mode squeezed vacuum covariance file")
-    tms.add_argument("--r", type=float, required=True, help="squeezing strength")
+    tms.add_argument("--r", type=finite_float, required=True, help="squeezing strength")
     tms.add_argument("--out", default=None, help="output path (default: stdout)")
     tms.set_defaults(func=_run_tmsv)
 
@@ -326,3 +319,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

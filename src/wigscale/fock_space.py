@@ -8,11 +8,12 @@ Tr(rho A_ij) for operator families A_ij.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._validated import HERMITICITY_TOL, hermiticity_residual
 from .moments import HermitianMatrix
 from .phase_space import PositionDensity
 
@@ -33,31 +34,16 @@ HERMITE_INDEX_LIMIT = 200
 #: default Fock-space truncation used by the CLI
 DEFAULT_DIM = 32
 
-_HERMITICITY_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
-class FockMatrix:
+class FockMatrix(HermitianMatrix):
     """Hermitian operator in the number basis truncated at `dim` levels.
 
     For projected states, `truncation_deficit` records |1 - trace|, the
     probability weight lost to the discarded levels.
     """
 
-    dim: int
-    entries: np.ndarray = field(repr=False)
     truncation_deficit: float | None = None
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")
-        asym = np.abs(entries - entries.conj().T).max()
-        if asym > _HERMITICITY_TOL:
-            raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {asym:.3e}")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -76,25 +62,19 @@ class Spectrum:
 def hermite_function(n: int, x):
     """L2-normalized oscillator eigenfunction psi_n(x) at hbar = m = omega = 1.
 
-    Uses the normalized three-term recurrence, which keeps intermediate
-    values bounded (no factorial overflow).
+    Row n of :func:`_hermite_basis`: the normalized three-term recurrence
+    keeps intermediate values bounded (no factorial overflow).
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"index must be a nonnegative integer, got {n}")
     if n > HERMITE_INDEX_LIMIT:
         raise ValueError(f"index {n} exceeds supported limit {HERMITE_INDEX_LIMIT}")
     x = np.asarray(x, dtype=float)
-    prev = np.pi**-0.25 * np.exp(-x * x / 2.0)
-    if n == 0:
-        return prev
-    curr = np.sqrt(2.0) * x * prev
-    for k in range(2, n + 1):
-        prev, curr = curr, np.sqrt(2.0 / k) * x * curr - np.sqrt((k - 1.0) / k) * prev
-    return curr
+    return _hermite_basis(n + 1, x.ravel())[n].reshape(x.shape)
 
 
 def _hermite_basis(dim: int, x: np.ndarray) -> np.ndarray:
-    """Rows psi_0(x) .. psi_{dim-1}(x) via the same normalized recurrence."""
+    """Rows psi_0(x) .. psi_{dim-1}(x) of a 1-D `x` via the normalized recurrence."""
     out = np.empty((dim, x.size))
     out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
     if dim > 1:
@@ -164,7 +144,6 @@ def project_state(rho: PositionDensity, dim: int) -> FockMatrix:
         )
     basis = _hermite_basis(dim, rho.spec.axis())
     entries = h * h * (basis @ rho.values @ basis.T)
-    entries = 0.5 * (entries + entries.conj().T)
     deficit = abs(1.0 - float(np.trace(entries).real))
     return FockMatrix(dim, entries, truncation_deficit=deficit)
 
@@ -190,7 +169,7 @@ def spectrum(rho: FockMatrix) -> Spectrum:
 
 def moment_matrix(
     rho: FockMatrix,
-    ops: Sequence[Sequence[np.ndarray | FockMatrix]],
+    ops: Sequence[Sequence[np.ndarray | HermitianMatrix]],
 ) -> HermitianMatrix:
     """Numeric matrix of trace pairings M[i, j] = Tr(rho * A_ij).
 
@@ -212,16 +191,15 @@ def moment_matrix(
             raise ValueError("operator family must be a square matrix of operators")
         for j in range(size):
             op = ops[i][j]
-            mat = op.entries if isinstance(op, FockMatrix) else np.asarray(op)
+            mat = op.entries if isinstance(op, HermitianMatrix) else np.asarray(op)
             if mat.shape != (rho.dim, rho.dim):
                 raise ValueError(
                     f"operator ({i},{j}) has shape {mat.shape}, expected {(rho.dim, rho.dim)}"
                 )
             entries[i, j] = np.trace(rho.entries @ mat)
-    asym = np.abs(entries - entries.conj().T).max()
-    if asym > 1e-8 * max(1.0, float(np.abs(entries).max())):
+    if hermiticity_residual(entries) > HERMITICITY_TOL:
         raise ValueError(
             "trace pairings are not Hermitian; the operator family must satisfy "
             "A_ji = conj(transpose(A_ij))"
         )
-    return HermitianMatrix(size, 0.5 * (entries + entries.conj().T))
+    return HermitianMatrix(size, entries)

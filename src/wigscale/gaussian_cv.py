@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
+from ._validated import store_validated
 
 __all__ = [
     "CovarianceMatrix",
@@ -34,8 +35,6 @@ __all__ = [
 #: absolute eigenvalue tolerance below which a scan point counts as a violation
 SCAN_TOL = 1e-9
 
-_SYMMETRY_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
@@ -52,18 +51,8 @@ class CovarianceMatrix:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"modes must be positive, got {self.modes}")
-        matrix = np.asarray(self.matrix, dtype=float)
         size = 2 * self.modes
-        if matrix.shape != (size, size):
-            raise ValueError(f"matrix must be {size}x{size}, got {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("covariance matrix contains non-finite values")
-        asym = np.abs(matrix - matrix.T).max()
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(f"matrix not symmetric: max |S - S^T| = {asym:.3e}")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        store_validated(self, "matrix", (size, size), float, "covariance matrix", hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -105,8 +94,8 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
     Diagonal entries cosh(2r)/2, cross-mode correlations +sinh(2r)/2 in
     position and -sinh(2r)/2 in momentum.
     """
-    if not np.isfinite(r):
-        raise ValueError(f"squeezing strength must be finite, got {r}")
+    if not abs(r) < 355.0:  # cosh(2r) and sinh(2r) overflow a float from |r| ~ 355.2 on
+        raise ValueError(f"squeezing strength must be finite with |r| < 355, got {r}")
     c = 0.5 * np.cosh(2.0 * r)
     s = 0.5 * np.sinh(2.0 * r)
     sigma = np.array(

@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._validated import store_validated
+
 if TYPE_CHECKING:
     from .gaussian_cv import CovarianceMatrix
     from .phase_space import GridWigner
@@ -32,9 +34,6 @@ __all__ = [
 
 #: relative positivity tolerance; saturated states sit exactly on the boundary
 PSD_TOL = 1e-10
-
-_NORM_TOL = 1e-4
-_HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,29 +55,19 @@ class HermitianMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")
-        asym = np.abs(entries - entries.conj().T).max()
-        if asym > _HERMITICITY_TOL:
-            raise ValueError(f"matrix not Hermitian: max |M - M^dag| = {asym:.3e}")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        store_validated(self, "entries", (self.dim, self.dim), complex, "matrix", hermitian=True)
 
 
 def moments_from_grid(w: GridWigner) -> SecondMoments:
     """Quadrature averages of q, p and their central second moments.
 
     Args:
-        w: normalized Wigner grid (norm within 1e-4 of 1).
+        w: normalized Wigner grid (norm within NORM_TOL of 1).
 
     Raises:
         ValueError: for unnormalized input.
     """
-    norm = w.norm()
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"input grid is not normalized: quadrature norm {norm:.6f}")
+    w.require_normalized()
     Q, P = w.spec.meshes()
     weight = w.spec.quadrature_weight
     mean_q = float((w.values * Q).sum() * weight)
@@ -113,8 +102,10 @@ def sr_value(m: SecondMoments) -> float:
 def symplectic_form(modes: int) -> np.ndarray:
     """Matrix J with [Q_a, Q_b] = i J_ab in (q_1..q_N, p_1..p_N) ordering."""
     eye = np.eye(modes)
-    zero = np.zeros((modes, modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    form = np.zeros((2 * modes, 2 * modes))
+    form[:modes, modes:] = eye
+    form[modes:, :modes] = -eye
+    return form
 
 
 def multimode_uncertainty_matrix(cov: CovarianceMatrix) -> HermitianMatrix:

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.signal import resample
 from scipy.special import eval_laguerre
 
+from ._validated import NORM_TOL, store_validated, validated_array
+
 __all__ = [
     "GridSpec",
     "AnalyticWigner",
@@ -23,6 +25,7 @@ __all__ = [
     "default_grid",
     "eval_fock_wigner",
     "sample_to_grid",
+    "apply_linear_map",
     "apply_scaling",
     "apply_squeeze",
     "apply_partial_scaling",
@@ -34,13 +37,11 @@ __all__ = [
 #: default number of samples per axis for generated grids
 DEFAULT_POINTS = 512
 
+#: largest grid accepted; the transforms' n x (2n - 1) complex kernel is ~0.5 GB here
+MAX_POINTS = 4096
+
 #: sampling rejects extents below this multiple of max(1, 1/|scale|)
 _MIN_EXTENT_FACTOR = 4.0
-
-#: quadrature norm must be this close to 1 where a normalized state is required
-_NORM_TOL = 1e-4
-
-_HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,9 @@ class GridSpec:
             raise ValueError(
                 f"points_per_axis must be even and >= 16, got {self.points_per_axis}"
             )
+        if (n := self.points_per_axis) > MAX_POINTS:
+            raise ValueError(f"points_per_axis {n} exceeds the limit {MAX_POINTS}: the n x (2n - 1) "
+                             f"complex transform kernel alone would need {16e-9 * n * (2 * n - 1):.3g} GB")
 
     @property
     def step(self) -> float:
@@ -112,19 +116,18 @@ class GridWigner:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
         n = self.spec.points_per_axis
-        if values.shape != (n, n):
-            raise ValueError(f"values must have shape ({n}, {n}), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("Wigner grid contains non-finite values")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        store_validated(self, "values", (n, n), float, "Wigner grid")
 
     def norm(self) -> float:
         """Quadrature value of the normalization integral."""
         return float(self.values.sum() * self.spec.quadrature_weight)
+
+    def require_normalized(self) -> None:
+        """Raise ValueError unless the quadrature norm is within NORM_TOL of 1."""
+        norm = self.norm()
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"input grid is not normalized: quadrature norm {norm:.6f}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,18 +138,8 @@ class PositionDensity:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
         n = self.spec.points_per_axis
-        if values.shape != (n, n):
-            raise ValueError(f"values must have shape ({n}, {n}), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density matrix contains non-finite values")
-        asym = np.abs(values - values.conj().T).max()
-        if asym > _HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: max |rho - rho^dag| = {asym:.3e}")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        store_validated(self, "values", (n, n), complex, "density matrix", hermitian=True)
 
     def trace(self) -> float:
         """Quadrature trace, the integral of rho(x, x) dx."""
@@ -207,63 +200,61 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridW
     return GridWigner(spec, eval_fock_wigner(state, Q, P))
 
 
-def _interpolate(w: GridWigner, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of grid values at (qs, ps); zero outside the extent."""
+def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of the grid at fractional cell indices (fi, fj); zero outside it."""
     n = w.spec.points_per_axis
-    h = w.spec.step
-    origin = -w.spec.extent + 0.5 * h
-    fi = (qs - origin) / h
-    fj = (ps - origin) / h
-    i0 = np.floor(fi).astype(int)
-    j0 = np.floor(fj).astype(int)
-    ti = fi - i0
-    tj = fj - j0
-
-    def corner(ii, jj):
-        vals = np.zeros_like(ti)
-        ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-        vals[ok] = w.values[ii[ok], jj[ok]]
-        return vals
-
+    i0, j0 = np.floor(fi), np.floor(fj)
+    ti, tj = fi - i0, fj - j0
+    # one ring of zeros around the grid; indices clipped onto the ring read 0
+    flat = np.pad(w.values, 1).ravel()
+    ia, ib = (np.clip(i, 0, n + 1).astype(np.intp) * (n + 2) for i in (i0 + 1, i0 + 2))
+    ja, jb = (np.clip(j, 0, n + 1).astype(np.intp) for j in (j0 + 1, j0 + 2))
     return (
-        corner(i0, j0) * (1 - ti) * (1 - tj)
-        + corner(i0 + 1, j0) * ti * (1 - tj)
-        + corner(i0, j0 + 1) * (1 - ti) * tj
-        + corner(i0 + 1, j0 + 1) * ti * tj
+        flat.take(ia + ja) * (1 - ti) * (1 - tj)
+        + flat.take(ib + ja) * ti * (1 - tj)
+        + flat.take(ia + jb) * (1 - ti) * tj
+        + flat.take(ib + jb) * ti * tj
     )
 
 
-def apply_scaling(w: GridWigner, lam: float) -> GridWigner:
-    """Scaling map W(q, p) -> |lam|^2 W(lam*q, lam*p), resampled on the same grid.
+def apply_linear_map(w: GridWigner, A) -> GridWigner:
+    """Map W(x) -> |det A| W(A x), x = (q, p), for a 2x2 `A`, resampled on the same grid.
 
-    Trace-preserving for any nonzero lam, but not positivity-preserving:
-    for |lam| != 1 the image of a density operator need not be one.
+    Trace-preserving for every invertible A; sources A x outside the extent
+    read 0. The grid is symmetric about the origin, so A acts on cell indices
+    counted from the center (exact half-integers): the step cancels, and the
+    identity and the reflections A = diag(1, -1), -I reproduce the grid exactly.
     """
-    if lam == 0:
-        raise ValueError("scaling parameter must be nonzero")
-    Q, P = w.spec.meshes()
-    return GridWigner(w.spec, lam * lam * _interpolate(w, lam * Q, lam * P))
+    A = validated_array(A, (2, 2), float, "map matrix")
+    det = abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    if det == 0:
+        raise ValueError("map must be invertible (nonzero scaling parameter)")
+    center = 0.5 * (w.spec.points_per_axis - 1)
+    k = np.arange(w.spec.points_per_axis) - center
+    fi = A[0, 0] * k[:, None] + A[0, 1] * k + center
+    fj = A[1, 0] * k[:, None] + A[1, 1] * k + center
+    return GridWigner(w.spec, det * _interpolate(w, fi, fj))
+
+
+def apply_scaling(w: GridWigner, lam: float) -> GridWigner:
+    """Scaling map W(q, p) -> |lam|^2 W(lam*q, lam*p), A = lam I; nonpositive for |lam| != 1."""
+    return apply_linear_map(w, [[lam, 0.0], [0.0, lam]])
 
 
 def apply_squeeze(w: GridWigner, kappa: float) -> GridWigner:
-    """Squeezing map W(q, p) -> W(kappa*q, p/kappa); unitary, state-preserving."""
+    """Squeezing map W(q, p) -> W(kappa*q, p/kappa), A = diag(kappa, 1/kappa); unitary."""
     if not kappa > 0:
         raise ValueError(f"squeeze parameter must be positive, got {kappa}")
-    Q, P = w.spec.meshes()
-    return GridWigner(w.spec, _interpolate(w, kappa * Q, P / kappa))
+    return apply_linear_map(w, [[kappa, 0.0], [0.0, 1.0 / kappa]])
 
 
 def apply_partial_scaling(w: GridWigner, lam: float) -> GridWigner:
-    """Momentum-only scaling W(q, p) -> |lam| W(q, lam*p) of this single mode.
+    """Momentum-only scaling W(q, p) -> |lam| W(q, lam*p), A = diag(1, lam).
 
-    Equals the squeeze with kappa^2 = 1/lam followed by the scaling map with
-    parameter sqrt(lam) (for lam > 0); lam = -1 is momentum reflection, i.e.
-    the transpose of the mode.
+    For lam > 0 this is the squeeze kappa = lam^-1/2 followed by the scaling
+    sqrt(lam); lam = -1 is momentum reflection, the transpose of the mode.
     """
-    if lam == 0:
-        raise ValueError("partial scaling parameter must be nonzero")
-    Q, P = w.spec.meshes()
-    return GridWigner(w.spec, abs(lam) * _interpolate(w, Q, lam * P))
+    return apply_linear_map(w, [[1.0, 0.0], [0.0, lam]])
 
 
 def overlap(a: GridWigner, b: GridWigner) -> float:
@@ -289,14 +280,12 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
 
     Computes rho(x, x') = (1/2 pi) * integral of W((x+x')/2, p) e^{i p (x-x')} dp
     by midpoint quadrature over the grid's p axis, for x, x' on the q axis.
-    The result is Hermitized to remove quadrature round-off.
+    :class:`PositionDensity` stores the exact Hermitian part of the result.
 
     Raises:
-        ValueError: if the input norm deviates from 1 by more than 1e-4.
+        ValueError: if the input norm deviates from 1 by more than NORM_TOL.
     """
-    norm = w.norm()
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"input grid is not normalized: quadrature norm {norm:.6f}")
+    w.require_normalized()
     n = w.spec.points_per_axis
     h = w.spec.step
     x = w.spec.axis()
@@ -307,7 +296,7 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     G = (h / (2.0 * np.pi)) * (mids[: 2 * n - 1] @ kernel)
     idx = np.arange(n)
     rho = G[idx[:, None] + idx[None, :], idx[:, None] - idx[None, :] + (n - 1)]
-    rho = 0.5 * (rho + rho.conj().T)
+    del G, kernel, mids  # release the transform buffers before validation copies rho
     return PositionDensity(w.spec, rho)
 
 
@@ -323,11 +312,9 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     h = rho.spec.step
     x = rho.spec.axis()
     t = np.arange(-(n - 1), n)
-    M, T = np.meshgrid(np.arange(n), t, indexing="ij")
-    I, J = M + T, M - T
-    ok = (I >= 0) & (I < n) & (J >= 0) & (J < n)
-    diagonals = np.zeros((n, 2 * n - 1), dtype=complex)
-    diagonals[ok] = rho.values[I[ok], J[ok]]
+    # diagonals[m, t] = rho[m + t, m - t], read from a zero ring where that leaves the grid
+    m = np.arange(n)[:, None]
+    diagonals = np.pad(rho.values, 1)[np.clip(m + t, -1, n) + 1, np.clip(m - t, -1, n) + 1]
     kernel = np.exp(-1j * np.outer(2.0 * h * t, x))
     w = 2.0 * h * (diagonals @ kernel)
     return GridWigner(rho.spec, w.real)

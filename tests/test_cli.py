@@ -1,4 +1,10 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -299,3 +305,72 @@ class TestOutputContract:
         )
         _, rows = parse_csv(out)
         assert rows[0][1] == "-0.0194098617783"
+
+
+class TestEntryPoints:
+    def test_python_dash_m_matches_main(self, capsys):
+        args = ["spectrum", "--state", "fock1", "--lambda", "0.5"]
+        code, expected, _ = run(capsys, *args)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "wigscale", *args], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert code == 0 and done.returncode == 0
+        assert done.stdout == expected
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("modes", [[2], "two", 2.5, True, 0, -1, None])
+    def test_bad_modes_value_rejected(self, capsys, tmp_path, modes):
+        path = tmp_path / "cov.json"
+        matrix = (0.5 * np.eye(4)).tolist()
+        path.write_text(json.dumps({"modes": modes, "ordering": "q-block-p-block", "matrix": matrix}))
+        code, _, err = run(capsys, "separability", "--cov", str(path), "--modes", "2")
+        assert code == 2
+        assert err.startswith("error:") and "modes" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["uncertainty", "--state", "fock1"], "--lambda"),
+            (["uncertainty", "--state", "fock1"], "--kappa"),
+            (["roundtrip", "--state", "fock1"], "--extent"),
+            (["fidelity", "--lambda-max", "1", "--steps", "3"], "--lambda-min"),
+            (["fidelity", "--lambda-min", "0.5", "--steps", "3"], "--lambda-max"),
+            (["tmsv"], "--r"),
+            (["separability", "--cov", "missing.json", "--modes", "2"], "--tol"),
+        ],
+    )
+    def test_non_finite_option_rejected_at_parse_time(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"{option}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err and "finite" in err
+
+    def test_overflowing_squeezing_rejected_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "tmsv", "--r", "400")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["uncertainty", "--state", "fock1", "--grid", "100000"],
+            ["fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--steps", "2", "--grid", "100000"],
+        ],
+    )
+    def test_oversized_grid_rejected_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "4096" in err and "GB" in err
+        assert peak < 10e6

@@ -1,0 +1,199 @@
+"""Property tests for the linear phase-space map and the validated array types."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from wigscale import fock_space, gaussian_cv, moments, phase_space
+from wigscale._validated import HERMITICITY_TOL
+from wigscale.phase_space import AnalyticWigner, GridSpec, apply_linear_map
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+fock_index = st.integers(0, 6)
+points = st.sampled_from([16, 18, 24, 32, 50])
+extents = st.floats(4.0, 12.0)
+nonzero = st.floats(-2.0, 2.0).filter(lambda lam: abs(lam) > 0.05)
+entries = st.floats(-10.0, 10.0)
+
+
+def grid(n, extent, pts, kappa=1.0):
+    return phase_space.sample_to_grid(AnalyticWigner(n, 1.0, kappa), GridSpec(extent, pts))
+
+
+def source_indices(pts, A):
+    center = 0.5 * (pts - 1)
+    K, L = np.meshgrid(np.arange(pts) - center, np.arange(pts) - center, indexing="ij")
+    return A[0][0] * K + A[0][1] * L + center, A[1][0] * K + A[1][1] * L + center
+
+
+def masked_bilinear(values, fi, fj):
+    """Reference gather: bounds mask per corner, as the map was first written."""
+    n = values.shape[0]
+    i0, j0 = np.floor(fi).astype(int), np.floor(fj).astype(int)
+    ti, tj = fi - i0, fj - j0
+
+    def corner(ii, jj):
+        vals = np.zeros_like(ti)
+        ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+        vals[ok] = values[ii[ok], jj[ok]]
+        return vals
+
+    return (
+        corner(i0, j0) * (1 - ti) * (1 - tj)
+        + corner(i0 + 1, j0) * ti * (1 - tj)
+        + corner(i0, j0 + 1) * (1 - ti) * tj
+        + corner(i0 + 1, j0 + 1) * ti * tj
+    )
+
+
+class TestLinearMap:
+    @SETTINGS
+    @given(fock_index, points, extents, nonzero, st.floats(0.2, 5.0))
+    def test_named_maps_are_the_primitive(self, n, pts, extent, lam, kappa):
+        w = grid(n, extent, pts, kappa)
+        cases = [
+            (phase_space.apply_scaling(w, lam), [[lam, 0.0], [0.0, lam]]),
+            (phase_space.apply_partial_scaling(w, lam), [[1.0, 0.0], [0.0, lam]]),
+            (phase_space.apply_squeeze(w, kappa), [[kappa, 0.0], [0.0, 1.0 / kappa]]),
+        ]
+        for named, A in cases:
+            direct = apply_linear_map(w, A).values
+            assert np.array_equal(named.values, direct)
+            fi, fj = source_indices(pts, A)
+            det = abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
+            assert np.array_equal(direct, det * masked_bilinear(w.values, fi, fj))
+
+    @SETTINGS
+    @given(fock_index, points, extents, st.floats(0.2, 5.0))
+    def test_identity_and_reflections_are_exact(self, n, pts, extent, kappa):
+        w = grid(n, extent, pts, kappa)
+        assert np.array_equal(apply_linear_map(w, np.eye(2)).values, w.values)
+        assert np.array_equal(phase_space.apply_partial_scaling(w, -1.0).values, w.values[:, ::-1])
+        assert np.array_equal(phase_space.apply_scaling(w, -1.0).values, w.values[::-1, ::-1])
+
+    @SETTINGS
+    @given(fock_index, points, extents, arrays(float, (2, 2), elements=st.floats(-4.0, 4.0)))
+    def test_sources_outside_the_grid_read_zero(self, n, pts, extent, A):
+        assume(abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) > 1e-3)
+        out = apply_linear_map(grid(n, extent, pts), A).values
+        fi, fj = source_indices(pts, A)
+        outside = (fi <= -1) | (fi >= pts) | (fj <= -1) | (fj >= pts)
+        assert np.all(out[outside] == 0.0)
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.full((2, 2), np.nan), np.eye(3), [[1.0, np.inf], [0.0, 1.0]], np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]]],
+    )
+    def test_malformed_matrix_rejected(self, A):
+        with pytest.raises(ValueError):
+            apply_linear_map(grid(0, 8.0, 16), A)
+
+
+def hermitian(data, size, complex_valued):
+    x = data.draw(arrays(float, (size, size), elements=entries))
+    if complex_valued:
+        x = x + 1j * data.draw(arrays(float, (size, size), elements=entries))
+    return x + x.conj().T
+
+
+# (constructor, size, complex-valued, Hermitian) for each validated type
+TYPES = {
+    "GridWigner": (lambda v: phase_space.GridWigner(GridSpec(8.0, 16), v), 16, False, False),
+    "PositionDensity": (lambda v: phase_space.PositionDensity(GridSpec(8.0, 16), v), 16, True, True),
+    "HermitianMatrix": (lambda v: moments.HermitianMatrix(v.shape[0], v), 3, True, True),
+    "FockMatrix": (lambda v: fock_space.FockMatrix(v.shape[0], v), 5, True, True),
+    "CovarianceMatrix": (lambda v: gaussian_cv.CovarianceMatrix(v.shape[0] // 2, v), 4, False, True),
+}
+
+
+@pytest.mark.parametrize("kind", TYPES)
+class TestValidatedTypes:
+    @SETTINGS
+    @given(data=st.data())
+    def test_non_finite_entry_rejected(self, kind, data):
+        make, size, complex_valued, _ = TYPES[kind]
+        values = hermitian(data, size, complex_valued).astype(complex if complex_valued else float)
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        values[i, j] = complex(0.0, bad) if complex_valued and data.draw(st.booleans()) else bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make(values)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_accepted_values_stored_hermitian_readonly_contiguous(self, kind, data):
+        make, size, complex_valued, is_hermitian = TYPES[kind]
+        values = hermitian(data, size, complex_valued)
+        if is_hermitian:
+            i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+            values[i, j] += data.draw(st.floats(0.0, 0.99 * HERMITICITY_TOL))
+        if data.draw(st.booleans()):
+            values = np.asfortranarray(values)
+        obj = make(values)
+        stored = next(v for v in vars(obj).values() if isinstance(v, np.ndarray))
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        if is_hermitian:
+            assert np.array_equal(stored, stored.conj().T)
+            assert np.abs(stored - values).max() <= HERMITICITY_TOL
+        else:
+            assert np.array_equal(stored, values)
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", [kind for kind, spec in TYPES.items() if spec[3]])
+@SETTINGS
+@given(data=st.data())
+def test_residual_above_tolerance_rejected(kind, data):
+    make, size, complex_valued, _ = TYPES[kind]
+    values = hermitian(data, size, complex_valued).astype(complex if complex_valued else float)
+    i = data.draw(st.integers(0, size - 1))
+    j = data.draw(st.integers(0, size - 1).filter(lambda j: j != i or complex_valued))
+    skew = data.draw(st.floats(1.01 * HERMITICITY_TOL, 1.0))
+    values[i, j] += 1j * skew if i == j else skew
+    with pytest.raises(ValueError, match="Hermitian|symmetric"):
+        make(values)
+
+
+class TestToleranceRegressions:
+    def test_covariance_asymmetry_decided_at_construction(self):
+        # above the tolerance the constructor refuses; below it the state check runs without raising
+        sigma = 0.5 * np.eye(2)
+        sigma[0, 1] = 1e-11
+        with pytest.raises(ValueError, match="symmetric"):
+            gaussian_cv.CovarianceMatrix(1, sigma)
+        sigma[0, 1] = 0.5 * HERMITICITY_TOL
+        ok, _ = gaussian_cv.is_valid_state(gaussian_cv.CovarianceMatrix(1, sigma))
+        assert ok
+
+    @SETTINGS
+    @given(arrays(float, (4, 4), elements=st.floats(-2.0, 2.0)), st.floats(0.0, 1e-10))
+    def test_accepted_covariance_always_reaches_a_verdict(self, x, skew):
+        # the window (HERMITICITY_TOL, 1e-10] was once accepted here and then refused by is_valid_state
+        sigma = x @ x.T + 0.5 * np.eye(4)
+        sigma[0, 1] += skew
+        try:
+            cov = gaussian_cv.CovarianceMatrix(2, sigma)
+        except ValueError:
+            return
+        ok, low = gaussian_cv.is_valid_state(cov)
+        assert isinstance(ok, bool) and np.isfinite(low)
+
+    def test_nan_operator_rejected_not_certified(self):
+        rho = fock_space.FockMatrix(8, np.diag([1.0] + [0.0] * 7))
+        ops = fock_space.quadrature_pair_operators(8)
+        ops[0][0] = np.full((8, 8), np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            moments.is_psd(fock_space.moment_matrix(rho, ops))
+
+
+class TestGridSize:
+    def test_largest_grid_accepted(self):
+        assert GridSpec(8.0, phase_space.MAX_POINTS).points_per_axis == 4096
+
+    @pytest.mark.parametrize("pts", [4098, 100000])
+    def test_oversized_grid_rejected_with_memory_estimate(self, pts):
+        with pytest.raises(ValueError, match=r"exceeds the limit 4096.*GB"):
+            GridSpec(8.0, pts)
