@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -20,7 +21,11 @@ from . import fock_space, gaussian_cv, moments, phase_space
 __all__ = ["main", "entry"]
 
 _CONVENTION = "hbar = m = omega = 1"
-_SR_BOUND = 0.25
+#: most lambda values one fidelity run may request; each samples two grids
+MAX_FIDELITY_STEPS = 10_000
+#: coarsest grid step of a fidelity run: the quadrature of the unit-width ground
+#: state is off by 6e-9 (relative) at h = 0.69 and by 7e-2 at h = 1.56
+MAX_FIDELITY_H = 0.7
 
 
 def _fmt(value: float) -> str:
@@ -84,10 +89,9 @@ def _state_pipeline(args):
 
 
 def _sr_report(m: moments.SecondMoments):
-    value = moments.sr_value(m)
-    eigenvalues = np.linalg.eigvalsh(moments.sr_matrix(m).entries)
-    verdict = "satisfied" if value >= _SR_BOUND - 1e-9 else "violated"
-    return value, eigenvalues, verdict
+    matrix = moments.sr_matrix(m)
+    verdict = "satisfied" if moments.is_psd(matrix)[0] else "violated"
+    return moments.sr_value(m), np.linalg.eigvalsh(matrix.entries), verdict
 
 
 def _closed_form_fidelity(lam: float) -> float:
@@ -97,14 +101,19 @@ def _closed_form_fidelity(lam: float) -> float:
 def _run_fidelity(args) -> str:
     if not (0.0 < args.lam_min < args.lam_max):
         raise ValueError("need 0 < --lambda-min < --lambda-max")
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
+    if not (2 <= args.steps <= MAX_FIDELITY_STEPS):
+        raise ValueError(f"--steps must be between 2 and {MAX_FIDELITY_STEPS}, got {args.steps}")
     rows = []
     for lam in np.linspace(args.lam_min, args.lam_max, args.steps):
         state = phase_space.AnalyticWigner(1, lam)
         spec = _make_grid(args, state)
         ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
         scaled = phase_space.sample_to_grid(state, spec)
+        if spec.step > MAX_FIDELITY_H:
+            raise ValueError(
+                f"grid step {spec.step:.3g} at lambda {lam:g} exceeds {MAX_FIDELITY_H}, which under-resolves "
+                f"the ground state; use --grid {math.ceil(2.0 * spec.extent / MAX_FIDELITY_H)} or more"
+            )
         quad = phase_space.overlap(ground, scaled)
         rows.append([lam, quad, _closed_form_fidelity(lam), -2.0 * lam**2])
     columns = ["lambda", "overlap_quadrature", "overlap_closed_form", "small_lambda_leading_term"]
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--modes", required=True, help="comma-separated 1-based mode indices to scale")
     sep.add_argument("--lambda-grid", dest="lambda_grid", default="default",
                      help="'default', 'start:stop:count', or comma-separated values")
-    sep.add_argument("--tol", type=finite_float, default=gaussian_cv.SCAN_TOL)
+    sep.add_argument("--tol", type=finite_float, default=moments.PSD_TOL, help="relative PSD tolerance")
     _add_common(sep, default_format="json")
     sep.set_defaults(func=_run_separability)
 
@@ -309,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        # only extreme inputs overflow; raising turns numpy's warnings into one input error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            text = args.func(args)
+    except (ValueError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write(text, args.out)

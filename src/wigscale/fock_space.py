@@ -151,8 +151,9 @@ def project_state(rho: PositionDensity, dim: int) -> FockMatrix:
 def spectrum(rho: FockMatrix) -> Spectrum:
     """Full eigenvalue list of a Hermitian Fock-basis operator.
 
-    A min_eigenvalue below -1e-8 flags the operator as nonpositive, i.e.
-    not a density operator regardless of its trace or moments.
+    min_eigenvalue is data: a clearly negative value means the operator is
+    not a density operator, whatever its trace or moments. No threshold is
+    applied here.
     """
     eigenvalues = np.linalg.eigvalsh(rho.entries)
     trace = rho.trace()

@@ -32,9 +32,6 @@ __all__ = [
     "block_to_interleaved",
 ]
 
-#: absolute eigenvalue tolerance below which a scan point counts as a violation
-SCAN_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
@@ -60,7 +57,7 @@ class SeparabilityReport:
     """Outcome of a partial-scaling scan over a lambda grid.
 
     `violations` lists the lambda values inside the guaranteed region
-    |lambda| <= 1 whose scaled uncertainty matrix went negative; only those
+    |lambda| <= 1 whose scaled uncertainty matrix fails is_psd; only those
     drive the verdict. Grid points with |lambda| > 1 are permitted but the
     criterion proves nothing there (even the vacuum goes negative), so they
     are reported separately in `outside_criterion`.
@@ -161,7 +158,7 @@ def separability_scan(
     cov: CovarianceMatrix,
     mode_partition: set[int] | frozenset[int],
     lam_grid,
-    tol: float = SCAN_TOL,
+    tol: float = moments.PSD_TOL,
 ) -> SeparabilityReport:
     """Scan the partial-scaling separability criterion over a lambda grid.
 
@@ -176,12 +173,14 @@ def separability_scan(
             "entangled").
         mode_partition: nonempty set of 1-based mode indices to scale.
         lam_grid: iterable of nonzero scaling parameters.
-        tol: absolute threshold; min eigenvalue < -tol counts as violation.
+        tol: relative tolerance of the :func:`moments.is_psd` test at each point.
 
     Raises:
-        ValueError: invalid input state, empty grid, zero lambda, or bad
-            mode indices.
+        ValueError: invalid input state, empty grid, zero lambda, bad mode
+            indices, or a negative tolerance.
     """
+    if not tol >= 0.0:  # a negative tolerance would flag every state, the vacuum included
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     lam_values = [float(lam) for lam in lam_grid]
     if not lam_values:
         raise ValueError("lambda grid must not be empty")
@@ -207,11 +206,11 @@ def separability_scan(
         for mode in modes:
             scaled = partial_scale(scaled, mode, lam)
         matrix = moments.multimode_uncertainty_matrix(scaled)
-        _, low = moments.is_psd(matrix)
+        ok, low = moments.is_psd(matrix, tol)
         min_eigenvalues.append(low)
-        if abs(lam) > 1.0 + 1e-12:
+        if abs(lam) > 1.0:
             outside.append(lam)
-        elif low < -tol:
+        elif not ok:
             violations.append(lam)
     verdict = "entanglement_detected" if violations else "no_violation"
     return SeparabilityReport(

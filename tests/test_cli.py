@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wigscale import cli, gaussian_cv
+from wigscale import cli, gaussian_cv, moments
 
 
 def run(capsys, *argv):
@@ -374,3 +374,76 @@ class TestInputBoundary:
         assert code == 2
         assert "4096" in err and "GB" in err
         assert peak < 10e6
+
+
+class TestPositivityRule:
+    def test_sr_verdict_is_psd_of_the_uncertainty_matrix(self):
+        # sr_value = 1 >= 1/4, but the matrix is negative definite
+        value, eigenvalues, verdict = cli._sr_report(moments.SecondMoments(0.0, 0.0, -1.0, -1.0, 0.0))
+        assert value == 1.0 and eigenvalues[-1] < 0
+        assert verdict == "violated"
+
+    def test_tol_defaults_to_psd_tol_and_must_be_nonnegative(self, capsys, tmp_path):
+        path = tmp_path / "vac.json"
+        run(capsys, "tmsv", "--r", "0", "--out", str(path))
+        _, out, _ = run(capsys, "separability", "--cov", str(path), "--modes", "2")
+        assert json.loads(out)["tolerance"] == moments.PSD_TOL
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "2", "--tol", "-1")
+        assert code == 2 and out == "" and "nonnegative" in err
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["uncertainty", "--state", "fock1", "--lambda", "1e200", "--grid", "16"],
+            ["uncertainty", "--state", "fock1", "--kappa", "1e-300", "--grid", "16"],
+            ["uncertainty", "--state", "fock1", "--extent", "1e300", "--grid", "16"],
+            ["uncertainty", "--state", "fock1", "--lambda", "1e-200", "--grid", "16"],
+            ["separability", "--cov", "{cov}", "--modes", "2", "--lambda-grid", "1e-300,1"],
+        ],
+    )
+    def test_overflow_exits_2_without_warning(self, capsys, tmp_path, argv):
+        cov = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "1", "--out", str(cov))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *(arg.format(cov=cov) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Warning" not in err
+
+    def test_steps_above_the_cap_refused(self, capsys, monkeypatch):
+        argv = ["fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--grid", "64"]
+        monkeypatch.setattr(cli, "MAX_FIDELITY_STEPS", 3)
+        assert run(capsys, *argv, "--steps", "3")[0] == 0
+        code, out, err = run(capsys, *argv, "--steps", "4")
+        assert code == 2 and out == "" and "between 2 and 3" in err
+
+    def test_default_steps_cap(self, capsys):
+        assert cli.MAX_FIDELITY_STEPS == 10_000
+        code, _, err = run(capsys, "fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--steps", "10001")
+        assert code == 2 and "10000" in err
+
+
+class TestFidelityResolution:
+    @pytest.mark.parametrize("lam_min,needed", [("0.01", 2286), ("0.04", 572)])
+    def test_under_resolved_grid_refused(self, capsys, lam_min, needed):
+        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "0.05", "--steps", "3")
+        assert code == 2 and out == ""
+        assert f"--grid {needed}" in err
+
+    def test_suggested_grid_resolves(self, capsys):
+        code, out, _ = run(
+            capsys, "fidelity", "--lambda-min", "0.04", "--lambda-max", "0.05", "--steps", "2", "--grid", "572"
+        )
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-6)
+
+    def test_extent_error_comes_first(self, capsys):
+        code, _, err = run(
+            capsys, "fidelity", "--lambda-min", "0.01", "--lambda-max", "0.05", "--steps", "2",
+            "--extent", "100", "--grid", "16",
+        )
+        assert code == 2
+        assert "required 400" in err and "--grid" not in err

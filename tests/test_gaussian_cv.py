@@ -220,6 +220,30 @@ class TestSeparabilityScan:
         assert report.verdict == "no_violation"
 
 
+class TestScanPositivityRule:
+    def test_point_decided_by_is_psd(self):
+        # min eigenvalue -(1 - e^{-2r})/2 ~ -5e-10 at scale 1: below -PSD_TOL, above the old absolute -1e-9
+        report = separability_scan(two_mode_squeezed(5e-10), {2}, [-1.0])
+        assert -1e-9 < report.min_eigenvalues[0] < -moments.PSD_TOL
+        assert report.violations == [-1.0]
+        assert report.verdict == "entanglement_detected"
+
+    def test_tolerance_defaults_to_psd_tol_and_reaches_is_psd(self):
+        cov = two_mode_squeezed(5e-10)
+        assert separability_scan(cov, {2}, [-1.0]).tol == moments.PSD_TOL
+        assert separability_scan(cov, {2}, [-1.0], tol=1e-9).verdict == "no_violation"
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            separability_scan(vacuum(2), {2}, [-1.0], tol=-1.0)
+
+    def test_any_lambda_beyond_one_is_outside_the_criterion(self):
+        lam = -1.0 - 1e-13
+        report = separability_scan(two_mode_squeezed(1.0), {2}, [lam])
+        assert report.outside_criterion == [lam]
+        assert report.verdict == "no_violation"
+
+
 class TestOrderingConversion:
     def test_round_trip(self):
         rng = np.random.default_rng(41)

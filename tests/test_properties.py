@@ -197,3 +197,53 @@ class TestGridSize:
     def test_oversized_grid_rejected_with_memory_estimate(self, pts):
         with pytest.raises(ValueError, match=r"exceeds the limit 4096.*GB"):
             GridSpec(8.0, pts)
+
+
+@st.composite
+def gaussian_states(draw):
+    """A valid N-mode covariance S diag(nu, nu) S^T (Williamson form) and a mode subset to scale.
+
+    S = O_2 Z O_1 with Z a squeeze and O_k passive (orthogonal symplectic) maps
+    built from random unitaries; every symplectic eigenvalue nu is >= 1/2.
+    """
+    modes = draw(st.integers(2, 4))
+    unit = st.floats(-1.0, 1.0)
+
+    def passive():
+        z = draw(arrays(float, (2, modes, modes), elements=unit))
+        u, _ = np.linalg.qr(z[0] + 1j * z[1])
+        return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+    squeeze = np.exp(draw(arrays(float, modes, elements=st.floats(-1.2, 1.2))))
+    nu = 0.5 + draw(arrays(float, modes, elements=st.floats(0.0, 1.0)))
+    sympl = passive() @ np.diag(np.concatenate([squeeze, 1.0 / squeeze])) @ passive()
+    sigma = sympl @ np.diag(np.concatenate([nu, nu])) @ sympl.T
+    partition = draw(st.sets(st.integers(1, modes), min_size=1, max_size=modes))
+    return gaussian_cv.CovarianceMatrix(modes, 0.5 * (sigma + sigma.T)), partition
+
+
+class TestScanStructure:
+    """Sigma_lambda + iJ/2 = D (Sigma + iJ_lambda/2) D with D invertible and the right side affine in
+    lambda, so the lambda with a negative eigenvalue form an interval starting at -1, the partial
+    transpose.
+
+    The tolerance can flip a point whose eigenvalue lies inside its band, |low| <= PSD_TOL * scale
+    with the scale growing as 1/lambda^2; there the flags need not be monotone. One pure 4-mode
+    state, with eigenvalues between -3e-9 and -2e-11 on [-0.25, 0.95], is flagged on [-1, -0.2] and
+    [0.35, 0.75] but not on [-0.15, 0.3]. So the interval is checked on the points decided by sign
+    alone: the scaled entries here stay below 1e4, so |low| >= 1e-6 lies outside every band.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(gaussian_states())
+    def test_grid_verdict_is_the_partial_transpose_verdict(self, case):
+        cov, partition = case
+        transpose = gaussian_cv.separability_scan(cov, partition, [-1.0])
+        assume(abs(transpose.min_eigenvalues[0]) >= 1e-3)
+        report = gaussian_cv.separability_scan(cov, partition, gaussian_cv.default_lambda_grid())
+        assert report.verdict == transpose.verdict
+        clear = [(lam in report.violations, low < 0) for lam, low in zip(report.lam_grid, report.min_eigenvalues)
+                 if abs(low) >= 1e-6]
+        assert all(flag == negative for flag, negative in clear)
+        flags = [flag for flag, _ in clear]
+        assert flags == sorted(flags, reverse=True)  # violations first, then none
