@@ -312,7 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(rtr)
     rtr.set_defaults(func=_run_roundtrip)
 
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
+
+
+def _options_set(args) -> str:
+    """' (with --option value ...)' for each option of the run set away from its default."""
+    given = [
+        f"{action.option_strings[-1]} {getattr(args, action.dest)}"
+        for action in args.command_parser._actions
+        if action.option_strings and action.dest not in ("help", "format", "out")
+        and getattr(args, action.dest) != action.default
+    ]
+    return f" (with {' '.join(given)})" if given else ""
 
 
 def main(argv=None) -> int:
@@ -321,7 +334,11 @@ def main(argv=None) -> int:
         # only extreme inputs overflow; raising turns numpy's warnings into one input error
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             text = args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        # numpy's message names the operation, not the input: name the options that set it
+        print(f"error: {exc}{_options_set(args)}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write(text, args.out)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import resample
-from scipy.special import eval_laguerre
 
 from ._validated import NORM_TOL, store_validated, validated_array
 
@@ -37,8 +35,12 @@ __all__ = [
 #: default number of samples per axis for generated grids
 DEFAULT_POINTS = 512
 
-#: largest grid accepted; the transforms' n x (2n - 1) complex kernel is ~0.5 GB here
+#: largest grid accepted; wigner_to_density, the larger transform, needs ~1.3 GB here
 MAX_POINTS = 4096
+
+#: peak bytes per grid point of wigner_to_density: its buffers grow as n^2, and its
+#: tracemalloc peak at 1024 points is 80 MiB, i.e. 80 bytes for each of the 1024^2 points
+_TRANSFORM_BYTES_PER_POINT = 80
 
 #: sampling rejects extents below this multiple of max(1, 1/|scale|)
 _MIN_EXTENT_FACTOR = 4.0
@@ -63,8 +65,8 @@ class GridSpec:
                 f"points_per_axis must be even and >= 16, got {self.points_per_axis}"
             )
         if (n := self.points_per_axis) > MAX_POINTS:
-            raise ValueError(f"points_per_axis {n} exceeds the limit {MAX_POINTS}: the n x (2n - 1) "
-                             f"complex transform kernel alone would need {16e-9 * n * (2 * n - 1):.3g} GB")
+            raise ValueError(f"points_per_axis {n} exceeds the limit {MAX_POINTS}: the Wigner-to-density "
+                             f"transform alone would need {1e-9 * _TRANSFORM_BYTES_PER_POINT * n * n:.3g} GB")
 
     @property
     def step(self) -> float:
@@ -173,8 +175,22 @@ def eval_fock_wigner(state: AnalyticWigner, q, p):
     elif n == 1:
         base = 2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)
     else:
-        base = 2.0 * (-1.0) ** n * eval_laguerre(n, 2.0 * r2) * np.exp(-r2)
+        base = 2.0 * (-1.0) ** n * _laguerre(n, 2.0 * r2) * np.exp(-r2)
     return lam * lam * base
+
+
+def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
+    """Laguerre polynomial L_n(x), n >= 1, by the recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
+    # three buffers in rotation, updated in place: a new temporary per operation doubles the time
+    prev, cur, nxt = np.ones_like(x), np.subtract(1.0, x, out=np.empty_like(x)), np.empty_like(x)
+    for k in range(1, n):
+        np.subtract(2 * k + 1, x, out=nxt)
+        nxt *= cur
+        prev *= k
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
+    return cur
 
 
 def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridWigner:
@@ -272,7 +288,10 @@ def _midpoint_resample(values: np.ndarray) -> np.ndarray:
     Trigonometric interpolation is spectrally accurate here because the
     sampled functions decay to ~0 well inside the extent.
     """
-    return resample(values, 2 * values.shape[0], axis=0)
+    n = values.shape[0]
+    spectrum = np.fft.rfft(values, axis=0)
+    spectrum[n // 2] *= 0.5  # the Nyquist bin splits evenly between +/- n/2
+    return 2.0 * np.fft.irfft(spectrum, 2 * n, axis=0)
 
 
 def wigner_to_density(w: GridWigner) -> PositionDensity:
@@ -280,7 +299,7 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
 
     Computes rho(x, x') = (1/2 pi) * integral of W((x+x')/2, p) e^{i p (x-x')} dp
     by midpoint quadrature over the grid's p axis, for x, x' on the q axis.
-    :class:`PositionDensity` stores the exact Hermitian part of the result.
+    W is real, so the result is exactly Hermitian with an exactly real diagonal.
 
     Raises:
         ValueError: if the input norm deviates from 1 by more than NORM_TOL.
@@ -289,14 +308,22 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     n = w.spec.points_per_axis
     h = w.spec.step
     x = w.spec.axis()
-    mids = _midpoint_resample(np.asarray(w.values))
-    # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k (i - j) h},
-    # with s = i + j and d = i - j + (n - 1)
-    kernel = np.exp(1j * np.outer(x, np.arange(-(n - 1), n) * h))
-    G = (h / (2.0 * np.pi)) * (mids[: 2 * n - 1] @ kernel)
+    mids = _midpoint_resample(np.asarray(w.values))[: 2 * n - 1]
+    # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k d h}, with s = i + j and
+    # d = i - j; W is real, so G[s, -d] = conj(G[s, d]) and only d >= 0 is computed
+    phase = np.outer(x, np.arange(n) * h)
+    re = mids @ np.cos(phase)
+    im = mids @ np.sin(phase)
+    del mids, phase
+    re *= h / (2.0 * np.pi)
+    im *= h / (2.0 * np.pi)
     idx = np.arange(n)
-    rho = G[idx[:, None] + idx[None, :], idx[:, None] - idx[None, :] + (n - 1)]
-    del G, kernel, mids  # release the transform buffers before validation copies rho
+    d = idx[:, None] - idx
+    flat = (idx[:, None] + idx) * n + np.abs(d)
+    rho = np.empty((n, n), dtype=complex)
+    rho.real = re.take(flat)
+    rho.imag = np.sign(d) * im.take(flat)  # sin(0) = 0: the diagonal is exactly real
+    del re, im, d, flat  # release the transform buffers before validation copies rho
     return PositionDensity(w.spec, rho)
 
 
@@ -311,10 +338,12 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     n = rho.spec.points_per_axis
     h = rho.spec.step
     x = rho.spec.axis()
-    t = np.arange(-(n - 1), n)
-    # diagonals[m, t] = rho[m + t, m - t], read from a zero ring where that leaves the grid
-    m = np.arange(n)[:, None]
-    diagonals = np.pad(rho.values, 1)[np.clip(m + t, -1, n) + 1, np.clip(m - t, -1, n) + 1]
-    kernel = np.exp(-1j * np.outer(2.0 * h * t, x))
-    w = 2.0 * h * (diagonals @ kernel)
-    return GridWigner(rho.spec, w.real)
+    t = np.arange(n)
+    # diagonals[m, t] = rho[m + t, m - t], read from a zero ring where that leaves the grid;
+    # rho is Hermitian, so diagonal -t is the conjugate of diagonal t and adds its real part
+    m = t[:, None]
+    diagonals = np.pad(rho.values, 1)[np.minimum(m + t, n) + 1, np.maximum(m - t, -1) + 1]
+    diagonals[:, 1:] *= 2.0
+    phase = np.outer(2.0 * h * t, x)
+    w = 2.0 * h * (diagonals.real @ np.cos(phase) + diagonals.imag @ np.sin(phase))
+    return GridWigner(rho.spec, w)

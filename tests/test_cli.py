@@ -307,17 +307,27 @@ class TestOutputContract:
         assert rows[0][1] == "-0.0194098617783"
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter that imports wigscale from this checkout's src/."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestEntryPoints:
     def test_python_dash_m_matches_main(self, capsys):
         args = ["spectrum", "--state", "fock1", "--lambda", "0.5"]
         code, expected, _ = run(capsys, *args)
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "wigscale", *args], capture_output=True, text=True, env=env, timeout=120
-        )
+        done = fresh_python("-m", "wigscale", *args)
         assert code == 0 and done.returncode == 0
         assert done.stdout == expected
+
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is for the tests alone
+        code = "import sys, wigscale.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        done = fresh_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestInputBoundary:
@@ -394,16 +404,18 @@ class TestPositivityRule:
 
 class TestExtremeInputs:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,option",
         [
-            ["uncertainty", "--state", "fock1", "--lambda", "1e200", "--grid", "16"],
-            ["uncertainty", "--state", "fock1", "--kappa", "1e-300", "--grid", "16"],
-            ["uncertainty", "--state", "fock1", "--extent", "1e300", "--grid", "16"],
-            ["uncertainty", "--state", "fock1", "--lambda", "1e-200", "--grid", "16"],
-            ["separability", "--cov", "{cov}", "--modes", "2", "--lambda-grid", "1e-300,1"],
+            (["uncertainty", "--state", "fock1", "--lambda", "1e200", "--grid", "16"], "--lambda 1e+200"),
+            (["uncertainty", "--state", "fock1", "--kappa", "1e-300", "--grid", "16"], "--kappa 1e-300"),
+            (["uncertainty", "--state", "fock1", "--extent", "1e300", "--grid", "16"], "--extent 1e+300"),
+            (["uncertainty", "--state", "fock1", "--lambda", "1e-200", "--grid", "16"], "--lambda 1e-200"),
+            (["separability", "--cov", "{cov}", "--modes", "2", "--lambda-grid", "1e-300,1"],
+             "--lambda-grid 1e-300,1"),
         ],
+        ids=[f"argv{i}" for i in range(5)],
     )
-    def test_overflow_exits_2_without_warning(self, capsys, tmp_path, argv):
+    def test_overflow_exits_2_without_warning(self, capsys, tmp_path, argv, option):
         cov = tmp_path / "tmsv.json"
         run(capsys, "tmsv", "--r", "1", "--out", str(cov))
         with warnings.catch_warnings():
@@ -411,6 +423,13 @@ class TestExtremeInputs:
             code, out, err = run(capsys, *(arg.format(cov=cov) for arg in argv))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Warning" not in err
+        assert option in err
+
+    def test_options_at_their_defaults_not_named(self, capsys):
+        code, _, err = run(capsys, "uncertainty", "--state", "fock1", "--lambda", "1e200", "--kappa", "1",
+                           "--grid", "16", "--format", "json")
+        assert code == 2
+        assert err.endswith("(with --state fock1 --lambda 1e+200 --grid 16)\n")
 
     def test_steps_above_the_cap_refused(self, capsys, monkeypatch):
         argv = ["fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--grid", "64"]

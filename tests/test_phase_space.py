@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.signal import resample
+from scipy.special import eval_laguerre
 
 from conftest import fock_grid
 from wigscale import moments, phase_space
@@ -20,6 +24,26 @@ from wigscale.phase_space import (
 
 def closed_form_fidelity(lam):
     return 2.0 * lam**2 * (lam**2 - 1.0) / (1.0 + lam**2) ** 2
+
+
+def complex_kernel_wigner_to_density(w):
+    """Reference: the transform as first written, one complex kernel over d = i - j in [-(n-1), n-1]."""
+    n, h, x = w.spec.points_per_axis, w.spec.step, w.spec.axis()
+    mids = resample(w.values, 2 * n, axis=0)
+    kernel = np.exp(1j * np.outer(x, np.arange(-(n - 1), n) * h))
+    G = (h / (2.0 * np.pi)) * (mids[: 2 * n - 1] @ kernel)
+    idx = np.arange(n)
+    return phase_space.PositionDensity(w.spec, G[idx[:, None] + idx, idx[:, None] - idx + (n - 1)])
+
+
+def complex_kernel_density_to_wigner(rho):
+    """Reference: the inverse as first written, over all anti-diagonals t in [-(n-1), n-1]."""
+    n, h, x = rho.spec.points_per_axis, rho.spec.step, rho.spec.axis()
+    t = np.arange(-(n - 1), n)
+    m = np.arange(n)[:, None]
+    diagonals = np.pad(rho.values, 1)[np.clip(m + t, -1, n) + 1, np.clip(m - t, -1, n) + 1]
+    kernel = np.exp(-1j * np.outer(2.0 * h * t, x))
+    return (2.0 * h * (diagonals @ kernel)).real
 
 
 class TestTypes:
@@ -74,6 +98,14 @@ class TestEvalFockWigner:
         q = np.linspace(-2, 2, 17)
         expected = 2.0 * (2 * q**2 + 2 * 0.3**2 - 1) * np.exp(-(q**2) - 0.3**2)
         np.testing.assert_allclose(eval_fock_wigner(state, q, 0.3), expected, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_laguerre_recurrence_matches_scipy(self, n):
+        q = np.sqrt(np.linspace(0.0, 100.0, 2001))
+        r2 = q * q
+        expected = 2.0 * (-1.0) ** n * eval_laguerre(n, 2.0 * r2) * np.exp(-r2)
+        got = eval_fock_wigner(AnalyticWigner(n), q, 0.0)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestSampling:
@@ -236,6 +268,35 @@ class TestOverlap:
     def test_purity_bound_for_valid_states(self, n, kappa):
         w = fock_grid(n, kappa=kappa)
         assert overlap(w, w) <= 1.0 + 1e-6
+
+
+class TestRealKernels:
+    @pytest.mark.parametrize("n", [16, 256, 512, 1024])
+    def test_midpoint_resample_is_scipy_resample(self, n):
+        values = np.random.default_rng(n).standard_normal((n, n))
+        assert np.array_equal(phase_space._midpoint_resample(values), resample(values, 2 * n, axis=0))
+
+    @pytest.mark.parametrize("points", [64, 256, 512])
+    @pytest.mark.parametrize("n", range(6))
+    def test_transforms_match_complex_kernel_reference(self, n, points):
+        for lam, kappa in [(0.6, 1.0), (1.0, 1.4), (0.8, 0.7)]:
+            w = fock_grid(n, lam, kappa, points=points)
+            rho = wigner_to_density(w)
+            assert np.abs(rho.values - complex_kernel_wigner_to_density(w).values).max() <= 1e-14
+            assert not rho.values.diagonal().imag.any()
+            back = density_to_wigner(rho).values
+            assert np.abs(back - complex_kernel_density_to_wigner(rho)).max() <= 1e-14
+
+    def test_peak_memory_within_the_grid_cap_figure(self):
+        # GridSpec's refusal message scales this per-point figure to the requested grid
+        w = fock_grid(1, 0.5)
+        tracemalloc.start()
+        try:
+            density_to_wigner(wigner_to_density(w))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * phase_space._TRANSFORM_BYTES_PER_POINT * w.spec.points_per_axis**2
 
 
 class TestWignerToDensity:
