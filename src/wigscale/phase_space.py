@@ -35,12 +35,12 @@ __all__ = [
 #: default number of samples per axis for generated grids
 DEFAULT_POINTS = 512
 
-#: largest grid accepted; wigner_to_density, the larger transform, needs ~1.3 GB here
+#: largest grid accepted; wigner_to_density, the larger transform, needs ~1.0 GB here
 MAX_POINTS = 4096
 
 #: peak bytes per grid point of wigner_to_density: its buffers grow as n^2, and its
-#: tracemalloc peak at 1024 points is 80 MiB, i.e. 80 bytes for each of the 1024^2 points
-_TRANSFORM_BYTES_PER_POINT = 80
+#: tracemalloc peak at 1024 points is 60 MiB, i.e. 60 bytes for each of the 1024^2 points
+_TRANSFORM_BYTES_PER_POINT = 60
 
 #: sampling rejects extents below this multiple of max(1, 1/|scale|)
 _MIN_EXTENT_FACTOR = 4.0
@@ -299,7 +299,11 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
 
     Computes rho(x, x') = (1/2 pi) * integral of W((x+x')/2, p) e^{i p (x-x')} dp
     by midpoint quadrature over the grid's p axis, for x, x' on the q axis.
-    W is real, so the result is exactly Hermitian with an exactly real diagonal.
+    rho[i, j] reads the p-integral G[s, d] only at s = i + j and d = |i - j|,
+    which share their parity, so each parity is one pair of real cos/sin
+    products; the other half of the table is never computed. W is real, so
+    G[s, -d] = conj(G[s, d]): rho is filled from the lower triangle by a
+    strided view and mirrored, exactly Hermitian with an exactly real diagonal.
 
     Raises:
         ValueError: if the input norm deviates from 1 by more than NORM_TOL.
@@ -309,21 +313,27 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     h = w.spec.step
     x = w.spec.axis()
     mids = _midpoint_resample(np.asarray(w.values))[: 2 * n - 1]
-    # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k d h}, with s = i + j and
-    # d = i - j; W is real, so G[s, -d] = conj(G[s, d]) and only d >= 0 is computed
-    phase = np.outer(x, np.arange(n) * h)
-    re = mids @ np.cos(phase)
-    im = mids @ np.sin(phase)
+    # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k d h}, s = i + j, d = i - j >= 0;
+    # zeroed, so the entries of the other parity that the views below read are 0
+    re = np.zeros((2 * n - 1, n))
+    im = np.zeros((2 * n - 1, n))
+    for par in (0, 1):
+        phase = np.outer(x, np.arange(par, n, 2) * h)
+        re[par::2, par::2] = mids[par::2] @ np.cos(phase)
+        im[par::2, par::2] = mids[par::2] @ np.sin(phase)
     del mids, phase
     re *= h / (2.0 * np.pi)
     im *= h / (2.0 * np.pi)
-    idx = np.arange(n)
-    d = idx[:, None] - idx
-    flat = (idx[:, None] + idx) * n + np.abs(d)
+    # view[i, j] = G[i + j, i - j] at flat index i (n + 1) + j (n - 1); above the diagonal it
+    # reads an entry of the other parity (n is even), so the view is lower triangular
+    step = re.itemsize
+    lower_re, lower_im = (np.lib.stride_tricks.as_strided(g, (n, n), ((n + 1) * step, (n - 1) * step))
+                          for g in (re, im))
     rho = np.empty((n, n), dtype=complex)
-    rho.real = re.take(flat)
-    rho.imag = np.sign(d) * im.take(flat)  # sin(0) = 0: the diagonal is exactly real
-    del re, im, d, flat  # release the transform buffers before validation copies rho
+    np.add(lower_re, lower_re.T, out=rho.real)  # real part symmetric
+    np.fill_diagonal(rho.real, re[::2, 0])  # the sum counted the diagonal twice
+    np.subtract(lower_im, lower_im.T, out=rho.imag)  # imaginary part antisymmetric, diagonal 0
+    del re, im, lower_re, lower_im  # release the transform buffers before validation copies rho
     return PositionDensity(w.spec, rho)
 
 
@@ -332,16 +342,18 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
 
     Computes W(q, p) = integral of rho(q + u/2, q - u/2) e^{-i p u} du by
     quadrature over the anti-diagonals of rho (u runs over even multiples of
-    the grid step). Round-tripping :func:`wigner_to_density` reproduces the
+    the grid step). Anti-diagonal t of row m stays on the grid only while
+    t <= min(m, n - 1 - m) < n/2, so only t in [0, n/2) is gathered; rho is
+    Hermitian, so anti-diagonal -t is the conjugate of t and each t >= 1
+    counts twice. Round-tripping :func:`wigner_to_density` reproduces the
     input to near machine precision on the interior of the grid.
     """
     n = rho.spec.points_per_axis
     h = rho.spec.step
     x = rho.spec.axis()
-    t = np.arange(n)
-    # diagonals[m, t] = rho[m + t, m - t], read from a zero ring where that leaves the grid;
-    # rho is Hermitian, so diagonal -t is the conjugate of diagonal t and adds its real part
-    m = t[:, None]
+    t = np.arange(n // 2)
+    # diagonals[m, t] = rho[m + t, m - t], read from a zero ring where that leaves the grid
+    m = np.arange(n)[:, None]
     diagonals = np.pad(rho.values, 1)[np.minimum(m + t, n) + 1, np.maximum(m - t, -1) + 1]
     diagonals[:, 1:] *= 2.0
     phase = np.outer(2.0 * h * t, x)

@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here and nothing is tuned at runtime.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from conftest import fock_grid, fock_projection, product_sigma, random_single_mode_sigma
-from wigscale import fock_space, gaussian_cv, moments, phase_space
+from wigscale import cli, fock_space, gaussian_cv, moments, phase_space
 
 
 def report(number, label, ok, detail=""):
@@ -23,7 +25,10 @@ def closed_form_fidelity(lam):
 
 
 def overlap_with_ground(lam):
-    spec = phase_space.GridSpec(8.0 * max(1.0, 1.0 / lam))
+    # the extent grows as 1/lam; enough points keep the step within the CLI's resolution bound
+    extent = 8.0 * max(1.0, 1.0 / lam)
+    points = max(phase_space.DEFAULT_POINTS, 2 * math.ceil(extent / cli.MAX_FIDELITY_H))
+    spec = phase_space.GridSpec(extent, points)
     ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
     scaled = phase_space.sample_to_grid(phase_space.AnalyticWigner(1, scale=lam), spec)
     return phase_space.overlap(ground, scaled)
@@ -45,7 +50,7 @@ def test_criterion_1_fidelity_nonpositivity():
             failures.append(
                 f"|f/lambda^2 + 2| = {deviation:.6g} > 6 lambda^2 at lambda={lam}"
             )
-    for lam in np.linspace(0.05, 2.0, 40):
+    for lam in (0.02, *np.linspace(0.05, 2.0, 40)):
         value = overlap_with_ground(lam)
         if not abs(value - closed_form_fidelity(lam)) <= 1e-6:
             failures.append(f"quadrature/closed-form mismatch at lambda={lam:.3f}")

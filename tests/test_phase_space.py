@@ -46,6 +46,49 @@ def complex_kernel_density_to_wigner(rho):
     return (2.0 * h * (diagonals @ kernel)).real
 
 
+def full_table_wigner_to_density(w):
+    """Reference: the real kernels over the whole table, every s in [0, 2n - 1) and d in [0, n)."""
+    n, h, x = w.spec.points_per_axis, w.spec.step, w.spec.axis()
+    mids = resample(w.values, 2 * n, axis=0)[: 2 * n - 1]
+    phase = np.outer(x, np.arange(n) * h)
+    re = (mids @ np.cos(phase)) * (h / (2.0 * np.pi))
+    im = (mids @ np.sin(phase)) * (h / (2.0 * np.pi))
+    idx = np.arange(n)
+    d = idx[:, None] - idx
+    flat = (idx[:, None] + idx) * n + np.abs(d)
+    return phase_space.PositionDensity(w.spec, re.take(flat) + 1j * np.sign(d) * im.take(flat))
+
+
+def full_range_diagonals(rho):
+    """Anti-diagonals rho[m + t, m - t] for every t in [0, n), zero where they leave the grid."""
+    n = rho.spec.points_per_axis
+    t = np.arange(n)
+    m = t[:, None]
+    return np.pad(rho.values, 1)[np.minimum(m + t, n) + 1, np.maximum(m - t, -1) + 1]
+
+
+def full_range_density_to_wigner(rho):
+    """Reference: the real-kernel inverse over every anti-diagonal t in [0, n)."""
+    h, x = rho.spec.step, rho.spec.axis()
+    diagonals = full_range_diagonals(rho)
+    diagonals[:, 1:] *= 2.0
+    phase = np.outer(2.0 * h * np.arange(rho.spec.points_per_axis), x)
+    return 2.0 * h * (diagonals.real @ np.cos(phase) + diagonals.imag @ np.sin(phase))
+
+
+def resolved(n, lam, kappa, spec):
+    """The scaled, squeezed Fock state n is resolved and covered by `spec`.
+
+    In the state's own coordinates the step is h * lam * max(kappa, 1/kappa);
+    it must be at most 1/sqrt(2n + 2), and the extent must reach 3 past the
+    turning point sqrt(2n + 1). Over n <= 5, lam in [0.5, 1] and kappa in
+    [0.7, 1.4] such grids hold the quadrature norm within 1e-7 of 1.
+    """
+    stretch = max(kappa, 1.0 / kappa)
+    return (spec.step * lam * stretch * np.sqrt(2 * n + 2) <= 1.0
+            and spec.extent * lam / stretch >= np.sqrt(2 * n + 1) + 3.0)
+
+
 class TestTypes:
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
@@ -286,6 +329,34 @@ class TestRealKernels:
             assert not rho.values.diagonal().imag.any()
             back = density_to_wigner(rho).values
             assert np.abs(back - complex_kernel_density_to_wigner(rho)).max() <= 1e-14
+
+    def test_transforms_match_full_table_real_kernels(self):
+        # random even grids of 16-512 points on extent 8, which holds every lam in [0.5, 1]
+        rng = np.random.default_rng(20261018)
+        for _ in range(24):
+            spec = GridSpec(8.0, 2 * int(rng.integers(8, 257)))
+            while True:
+                n, lam, kappa = int(rng.integers(0, 6)), rng.uniform(0.5, 1.0), rng.uniform(0.7, 1.4)
+                if resolved(n, lam, kappa, spec):
+                    break
+            w = sample_to_grid(AnalyticWigner(n, lam, kappa), spec)
+            rho = wigner_to_density(w)
+            # the parity split takes the same dot product for every entry it keeps; BLAS may
+            # block the half-width product differently, which moves the last bit of a few entries
+            ref = full_table_wigner_to_density(w).values
+            assert np.abs(rho.values - ref).max() <= 2 * np.finfo(float).eps * np.abs(ref).max()
+            back = density_to_wigner(rho).values
+            assert np.abs(back - full_range_density_to_wigner(rho)).max() <= 1e-15
+
+    @pytest.mark.parametrize("points", [16, 18, 64, 250, 512])
+    def test_half_range_inverse_drops_only_zero_diagonals(self, points):
+        spec = GridSpec(8.0, points)
+        rng = np.random.default_rng(points)
+        a = rng.standard_normal((points, points)) + 1j * rng.standard_normal((points, points))
+        rho = phase_space.PositionDensity(spec, a + a.conj().T)
+        assert not full_range_diagonals(rho)[:, points // 2:].any()
+        full = full_range_density_to_wigner(rho)
+        assert np.abs(density_to_wigner(rho).values - full).max() <= 1e-15 * np.abs(full).max()
 
     def test_peak_memory_within_the_grid_cap_figure(self):
         # GridSpec's refusal message scales this per-point figure to the requested grid
