@@ -23,6 +23,12 @@ __all__ = ["main", "entry"]
 _CONVENTION = "hbar = m = omega = 1"
 #: most lambda values one fidelity run may request; each samples two grids
 MAX_FIDELITY_STEPS = 10_000
+#: most lambda values one separability scan may request; each scales the state and runs an eigensolver
+MAX_LAMBDA_POINTS = 10_000
+#: largest max |S - S^T| of a covariance file: files written by other tools carry about 9-12
+#: significant digits, so this is looser than HERMITICITY_TOL; the matrix is symmetrised
+#: before CovarianceMatrix sees it
+FILE_SYMMETRY_TOL = 1e-9
 #: coarsest grid step of a fidelity run: the quadrature of the unit-width ground
 #: state is off by 6e-9 (relative) at h = 0.69 and by 7e-2 at h = 1.56
 MAX_FIDELITY_H = 0.7
@@ -159,11 +165,15 @@ def _run_spectrum(args) -> str:
 def _parse_lambda_grid(token: str) -> np.ndarray:
     if token == "default":
         return gaussian_cv.default_lambda_grid()
-    if re.fullmatch(r"[^:,]+:[^:,]+:\d+", token):
-        start, stop, count = token.split(":")
-        values = np.linspace(float(start), float(stop), int(count))
+    spaced = re.fullmatch(r"[^:,]+:[^:,]+:\d+", token)
+    parts = token.split(":" if spaced else ",")
+    count = int(parts[2]) if spaced else len(parts)
+    if count > MAX_LAMBDA_POINTS:
+        raise ValueError(f"lambda grid has {count} points, more than the limit {MAX_LAMBDA_POINTS}")
+    if spaced:
+        values = np.linspace(float(parts[0]), float(parts[1]), count)
     else:
-        values = np.array([float(part) for part in token.split(",")])
+        values = np.array([float(part) for part in parts])
     if values.size == 0:
         raise ValueError("lambda grid is empty")
     if np.any(values == 0.0):
@@ -189,8 +199,9 @@ def _load_covariance(path: str) -> gaussian_cv.CovarianceMatrix:
             f"matrix shape {matrix.shape} does not match modes={modes} (expected {2 * modes}x{2 * modes})"
         )
     asym = np.abs(matrix - matrix.T).max()
-    if asym > 1e-9:
-        raise ValueError("matrix not symmetric within 1e-9")
+    if asym > FILE_SYMMETRY_TOL:
+        tol = np.format_float_scientific(FILE_SYMMETRY_TOL, trim="-", exp_digits=1)  # "1e-9"
+        raise ValueError(f"matrix not symmetric within {tol}")
     matrix = 0.5 * (matrix + matrix.T)
     if ordering == "interleaved":
         matrix = gaussian_cv.interleaved_to_block(matrix)

@@ -68,13 +68,17 @@ def moments_from_grid(w: GridWigner) -> SecondMoments:
         ValueError: for unnormalized input.
     """
     w.require_normalized()
-    Q, P = w.spec.meshes()
+    # the axis as a column (q) and a row (p); W q and W p are formed once and reused, since
+    # (W q) q is W * Q * Q over the meshes: each sum adds the same floats in the same order
+    x = w.spec.axis()
+    q, p = x[:, None], x
+    wq, wp = w.values * q, w.values * p
     weight = w.spec.quadrature_weight
-    mean_q = float((w.values * Q).sum() * weight)
-    mean_p = float((w.values * P).sum() * weight)
-    sigma_qq = float((w.values * Q * Q).sum() * weight) - mean_q**2
-    sigma_pp = float((w.values * P * P).sum() * weight) - mean_p**2
-    sigma_qp = float((w.values * Q * P).sum() * weight) - mean_q * mean_p
+    mean_q = float(wq.sum() * weight)
+    mean_p = float(wp.sum() * weight)
+    sigma_qq = float((wq * q).sum() * weight) - mean_q**2
+    sigma_pp = float((wp * p).sum() * weight) - mean_p**2
+    sigma_qp = float((wq * p).sum() * weight) - mean_q * mean_p
     return SecondMoments(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp)
 
 

@@ -217,7 +217,14 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridW
 
 
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the grid at fractional cell indices (fi, fj); zero outside it."""
+    """Bilinear interpolation of the grid at fractional cell indices (fi, fj); zero outside it.
+
+    fi and fj broadcast to the (n, n) output: a full array each for a general map, or an
+    (n, 1) column and a (1, n) row when the row index depends on i alone and the column
+    index on j alone. Then only the flat corner indices ia + ja are n x n (a broadcast
+    sum, which `take` reads faster than an advanced index of the padded grid), and the
+    weights are the per-axis fractions, the same floats as in full arrays.
+    """
     n = w.spec.points_per_axis
     i0, j0 = np.floor(fi), np.floor(fj)
     ti, tj = fi - i0, fj - j0
@@ -240,6 +247,13 @@ def apply_linear_map(w: GridWigner, A) -> GridWigner:
     read 0. The grid is symmetric about the origin, so A acts on cell indices
     counted from the center (exact half-integers): the step cancels, and the
     identity and the reflections A = diag(1, -1), -I reproduce the grid exactly.
+
+    An off-diagonal entry that is exactly 0 is left out of the source indices:
+    its term, A01 k_j say, is +-0 and is added to A00 k_i, which is nonzero (k is
+    a half-integer, and A00 != 0 when A01 = 0 and det A != 0), so no bit changes.
+    Every map the paper uses is diagonal: its row indices are then an (n, 1)
+    column and its column indices a (1, n) row, which :func:`_interpolate`
+    broadcasts, so no n x n float index array is built.
     """
     A = validated_array(A, (2, 2), float, "map matrix")
     det = abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
@@ -247,8 +261,9 @@ def apply_linear_map(w: GridWigner, A) -> GridWigner:
         raise ValueError("map must be invertible (nonzero scaling parameter)")
     center = 0.5 * (w.spec.points_per_axis - 1)
     k = np.arange(w.spec.points_per_axis) - center
-    fi = A[0, 0] * k[:, None] + A[0, 1] * k + center
-    fj = A[1, 0] * k[:, None] + A[1, 1] * k + center
+    rows, cols = k[:, None], k
+    fi = A[0, 0] * rows + center if A[0, 1] == 0 else A[0, 0] * rows + A[0, 1] * cols + center
+    fj = A[1, 1] * cols + center if A[1, 0] == 0 else A[1, 0] * rows + A[1, 1] * cols + center
     return GridWigner(w.spec, det * _interpolate(w, fi, fj))
 
 

@@ -222,6 +222,27 @@ class TestSeparability:
         assert code == 0
         assert [r[0] for r in json.loads(out)["rows"]] == [0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize(
+        "grid",
+        ["-1:1:1000000000000", "-1:1:10001", ",".join(["0.5"] * 10_001)],
+        ids=["spaced-1e12", "spaced-10001", "list-10001"],
+    )
+    def test_oversized_lambda_grid_rejected_before_allocating(self, capsys, tmp_path, grid):
+        path = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "1.0", "--out", str(path))
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "separability", "--cov", str(path), "--modes", "1", f"--lambda-grid={grid}"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and str(cli.MAX_LAMBDA_POINTS) in err
+        assert peak < 10e6
+        assert cli._parse_lambda_grid(f"0.5:1:{cli.MAX_LAMBDA_POINTS}").size == cli.MAX_LAMBDA_POINTS
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "separability", "--cov", str(tmp_path / "nope.json"), "--modes", "2"

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fock_grid, fock_projection, random_single_mode_sigma
-from wigscale import fock_space, gaussian_cv
+from wigscale import fock_space, gaussian_cv, phase_space
 from wigscale.moments import (
     HermitianMatrix,
     SecondMoments,
@@ -20,6 +23,19 @@ from wigscale.moments import (
 def hermitian_from(entries):
     entries = np.asarray(entries, dtype=complex)
     return HermitianMatrix(entries.shape[0], entries)
+
+
+def mesh_moments(w):
+    """Reference: the moment sums over the two n x n coordinate meshes, as first written."""
+    w.require_normalized()
+    Q, P = w.spec.meshes()
+    weight = w.spec.quadrature_weight
+    mean_q = float((w.values * Q).sum() * weight)
+    mean_p = float((w.values * P).sum() * weight)
+    sigma_qq = float((w.values * Q * Q).sum() * weight) - mean_q**2
+    sigma_pp = float((w.values * P * P).sum() * weight) - mean_p**2
+    sigma_qp = float((w.values * Q * P).sum() * weight) - mean_q * mean_p
+    return SecondMoments(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp)
 
 
 class TestMomentsFromGrid:
@@ -42,6 +58,17 @@ class TestMomentsFromGrid:
         assert m.sigma_qq == pytest.approx(6.0, abs=1e-5)
         assert m.sigma_pp == pytest.approx(6.0, abs=1e-5)
         assert m.sigma_qp == pytest.approx(0.0, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.floats(0.5, 1.5), st.floats(0.7, 1.4), st.integers(8, 256))
+    def test_axis_broadcast_equals_mesh_reference(self, n, lam, kappa, half_points):
+        state = phase_space.AnalyticWigner(n, lam, kappa)
+        sampled = phase_space.sample_to_grid(state, phase_space.default_grid(state, 2 * half_points))
+        # coarse grids miss the norm; rescaling keeps every grid a valid input
+        w = phase_space.GridWigner(sampled.spec, sampled.values / sampled.norm())
+        # compared as bit patterns: equal values, and equal signs of zero
+        got, want = (np.array(dataclasses.astuple(f(w))) for f in (moments_from_grid, mesh_moments))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unnormalized_rejected(self):
         from wigscale.phase_space import GridWigner

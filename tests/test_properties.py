@@ -28,6 +28,18 @@ def source_indices(pts, A):
     return A[0][0] * K + A[0][1] * L + center, A[1][0] * K + A[1][1] * L + center
 
 
+shear = st.floats(-2.0, 2.0)
+# shears, rotations, the swaps and random matrices, and diagonal maps with -0.0 off-diagonal entries
+maps = st.one_of(
+    shear.map(lambda s: [[1.0, s], [0.0, 1.0]]),
+    shear.map(lambda s: [[1.0, 0.0], [s, 1.0]]),
+    st.floats(0.0, 2.0 * np.pi).map(lambda t: [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]),
+    st.sampled_from([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]]]),
+    arrays(float, (2, 2), elements=st.floats(-4.0, 4.0)),
+    st.tuples(nonzero, nonzero, st.sampled_from([0.0, -0.0])).map(lambda d: [[d[0], -0.0], [d[2], d[1]]]),
+)
+
+
 def masked_bilinear(values, fi, fj):
     """Reference gather: bounds mask per corner, as the map was first written."""
     n = values.shape[0]
@@ -64,6 +76,17 @@ class TestLinearMap:
             fi, fj = source_indices(pts, A)
             det = abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
             assert np.array_equal(direct, det * masked_bilinear(w.values, fi, fj))
+
+    @SETTINGS
+    @given(fock_index, points, extents, maps)
+    def test_every_map_is_the_masked_reference(self, n, pts, extent, A):
+        det = abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
+        assume(det > 1e-3)
+        w = grid(n, extent, pts)
+        fi, fj = source_indices(pts, A)
+        expected = det * masked_bilinear(w.values, fi, fj)
+        # bit patterns: equal values, and equal signs of zero
+        assert np.array_equal(apply_linear_map(w, A).values.view(np.int64), expected.view(np.int64))
 
     @SETTINGS
     @given(fock_index, points, extents, st.floats(0.2, 5.0))
