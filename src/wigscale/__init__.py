@@ -26,7 +26,6 @@ from .moments import (
     SecondMoments,
     det_bound,
     is_psd,
-    leading_minors,
     moments_from_grid,
     multimode_uncertainty_matrix,
     sr_matrix,
@@ -34,9 +33,7 @@ from .moments import (
     symplectic_form,
 )
 from .fock_space import (
-    FockMatrix,
     Spectrum,
-    hermite_function,
     ladder_operators,
     moment_matrix,
     project_state,

@@ -170,10 +170,11 @@ def _parse_lambda_grid(token: str) -> np.ndarray:
     count = int(parts[2]) if spaced else len(parts)
     if count > MAX_LAMBDA_POINTS:
         raise ValueError(f"lambda grid has {count} points, more than the limit {MAX_LAMBDA_POINTS}")
-    if spaced:
-        values = np.linspace(float(parts[0]), float(parts[1]), count)
-    else:
-        values = np.array([float(part) for part in parts])
+    numbers = [float(part) for part in (parts[:2] if spaced else parts)]
+    for number in numbers:
+        if not math.isfinite(number):
+            raise ValueError(f"lambda grid values must be finite, got {number}")
+    values = np.linspace(numbers[0], numbers[1], count) if spaced else np.array(numbers)
     if values.size == 0:
         raise ValueError("lambda grid is empty")
     if np.any(values == 0.0):
@@ -183,7 +184,12 @@ def _parse_lambda_grid(token: str) -> np.ndarray:
 
 def _load_covariance(path: str) -> gaussian_cv.CovarianceMatrix:
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError("covariance file nests too deeply to be a covariance matrix") from None
+    if not isinstance(payload, dict):
+        raise ValueError("covariance file must hold a JSON object with keys modes, ordering and matrix")
     for key in ("modes", "ordering", "matrix"):
         if key not in payload:
             raise ValueError(f"covariance file missing key {key!r}")
@@ -193,7 +199,10 @@ def _load_covariance(path: str) -> gaussian_cv.CovarianceMatrix:
     ordering = payload["ordering"]
     if ordering not in ("q-block-p-block", "interleaved"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    matrix = np.asarray(payload["matrix"], dtype=float)
+    try:
+        matrix = np.asarray(payload["matrix"], dtype=float)
+    except TypeError:  # an object where numbers belong
+        raise ValueError("\"matrix\" must be a list of rows of numbers") from None
     if matrix.shape != (2 * modes, 2 * modes):
         raise ValueError(
             f"matrix shape {matrix.shape} does not match modes={modes} (expected {2 * modes}x{2 * modes})"

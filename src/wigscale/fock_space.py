@@ -18,9 +18,7 @@ from .moments import HermitianMatrix
 from .phase_space import PositionDensity
 
 __all__ = [
-    "FockMatrix",
     "Spectrum",
-    "hermite_function",
     "ladder_operators",
     "quadrature_pair_operators",
     "project_state",
@@ -28,25 +26,11 @@ __all__ = [
     "moment_matrix",
 ]
 
-#: hard cap on the oscillator index in Hermite-function evaluation
+#: highest oscillator index that project_state evaluates
 HERMITE_INDEX_LIMIT = 200
 
 #: default Fock-space truncation used by the CLI
 DEFAULT_DIM = 32
-
-
-@dataclass(frozen=True, eq=False)
-class FockMatrix(HermitianMatrix):
-    """Hermitian operator in the number basis truncated at `dim` levels.
-
-    For projected states, `truncation_deficit` records |1 - trace|, the
-    probability weight lost to the discarded levels.
-    """
-
-    truncation_deficit: float | None = None
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
 
 
 @dataclass(frozen=True)
@@ -59,22 +43,11 @@ class Spectrum:
     truncation_deficit: float
 
 
-def hermite_function(n: int, x):
-    """L2-normalized oscillator eigenfunction psi_n(x) at hbar = m = omega = 1.
-
-    Row n of :func:`_hermite_basis`: the normalized three-term recurrence
-    keeps intermediate values bounded (no factorial overflow).
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"index must be a nonnegative integer, got {n}")
-    if n > HERMITE_INDEX_LIMIT:
-        raise ValueError(f"index {n} exceeds supported limit {HERMITE_INDEX_LIMIT}")
-    x = np.asarray(x, dtype=float)
-    return _hermite_basis(n + 1, x.ravel())[n].reshape(x.shape)
-
-
 def _hermite_basis(dim: int, x: np.ndarray) -> np.ndarray:
-    """Rows psi_0(x) .. psi_{dim-1}(x) of a 1-D `x` via the normalized recurrence."""
+    """Rows psi_0(x) .. psi_{dim-1}(x) of a 1-D `x`: the L2-normalized oscillator eigenfunctions.
+
+    The normalized three-term recurrence keeps every value bounded (no factorial overflow).
+    """
     out = np.empty((dim, x.size))
     out[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
     if dim > 1:
@@ -84,7 +57,7 @@ def _hermite_basis(dim: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ladder_operators(dim: int) -> tuple[FockMatrix, FockMatrix]:
+def ladder_operators(dim: int) -> tuple[HermitianMatrix, HermitianMatrix]:
     """Position and momentum matrices q = (a + a^dag)/sqrt2, p = (a - a^dag)/(i sqrt2).
 
     Truncation makes the canonical commutator [q, p] = i exact only on the
@@ -95,7 +68,7 @@ def ladder_operators(dim: int) -> tuple[FockMatrix, FockMatrix]:
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # annihilation operator
     q = (lower + lower.T) / np.sqrt(2.0)
     p = (lower - lower.T) / (1j * np.sqrt(2.0))
-    return FockMatrix(dim, q), FockMatrix(dim, p)
+    return HermitianMatrix(dim, q), HermitianMatrix(dim, p)
 
 
 def quadrature_pair_operators(dim: int) -> list[list[np.ndarray]]:
@@ -111,7 +84,7 @@ def quadrature_pair_operators(dim: int) -> list[list[np.ndarray]]:
     return [[ops[i] @ ops[j] for j in range(2)] for i in range(2)]
 
 
-def project_state(rho: PositionDensity, dim: int) -> FockMatrix:
+def project_state(rho: PositionDensity, dim: int) -> HermitianMatrix:
     """Number-basis matrix elements <m|rho|n> by double quadrature.
 
     Args:
@@ -143,33 +116,29 @@ def project_state(rho: PositionDensity, dim: int) -> FockMatrix:
             f"{k_max:.4g} of level {dim - 1}; extent supports dim <= {max_dim}"
         )
     basis = _hermite_basis(dim, rho.spec.axis())
-    entries = h * h * (basis @ rho.values @ basis.T)
-    deficit = abs(1.0 - float(np.trace(entries).real))
-    return FockMatrix(dim, entries, truncation_deficit=deficit)
+    return HermitianMatrix(dim, h * h * (basis @ rho.values @ basis.T))
 
 
-def spectrum(rho: FockMatrix) -> Spectrum:
+def spectrum(rho: HermitianMatrix) -> Spectrum:
     """Full eigenvalue list of a Hermitian Fock-basis operator.
 
     min_eigenvalue is data: a clearly negative value means the operator is
     not a density operator, whatever its trace or moments. No threshold is
-    applied here.
+    applied here. For a projected state, truncation_deficit = |1 - trace| is
+    the probability weight lost to the discarded levels.
     """
     eigenvalues = np.linalg.eigvalsh(rho.entries)
     trace = rho.trace()
-    deficit = rho.truncation_deficit
-    if deficit is None:
-        deficit = abs(1.0 - trace)
     return Spectrum(
         eigenvalues=eigenvalues,
         min_eigenvalue=float(eigenvalues[0]),
         trace=trace,
-        truncation_deficit=float(deficit),
+        truncation_deficit=abs(1.0 - trace),
     )
 
 
 def moment_matrix(
-    rho: FockMatrix,
+    rho: HermitianMatrix,
     ops: Sequence[Sequence[np.ndarray | HermitianMatrix]],
 ) -> HermitianMatrix:
     """Numeric matrix of trace pairings M[i, j] = Tr(rho * A_ij).

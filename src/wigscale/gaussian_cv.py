@@ -29,7 +29,6 @@ __all__ = [
     "separability_scan",
     "default_lambda_grid",
     "interleaved_to_block",
-    "block_to_interleaved",
 ]
 
 
@@ -112,6 +111,19 @@ def _check_mode(cov: CovarianceMatrix, mode: int) -> int:
     return mode - 1
 
 
+def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float) -> CovarianceMatrix:
+    """D Sigma D, with D the identity except dq and dp on the q and p of `mode` (1-based).
+
+    The map W(x) -> |det A| W(A x) takes Sigma to A^-1 Sigma A^-T; for a diagonal A
+    acting on one mode that is this congruence with D = A^-1.
+    """
+    idx = _check_mode(cov, mode)
+    diag = np.ones(2 * cov.modes)
+    diag[idx] = dq
+    diag[cov.modes + idx] = dp
+    return CovarianceMatrix(cov.modes, diag[:, None] * cov.matrix * diag[None, :])
+
+
 def squeeze_symplectic(cov: CovarianceMatrix, mode: int, kappa: float) -> CovarianceMatrix:
     """Single-mode squeeze as a symplectic congruence Sigma -> S Sigma S^T.
 
@@ -121,11 +133,7 @@ def squeeze_symplectic(cov: CovarianceMatrix, mode: int, kappa: float) -> Covari
     """
     if not kappa > 0:
         raise ValueError(f"squeeze parameter must be positive, got {kappa}")
-    idx = _check_mode(cov, mode)
-    diag = np.ones(2 * cov.modes)
-    diag[idx] = 1.0 / kappa
-    diag[cov.modes + idx] = kappa
-    return CovarianceMatrix(cov.modes, diag[:, None] * cov.matrix * diag[None, :])
+    return _diagonal_congruence(cov, mode, 1.0 / kappa, kappa)
 
 
 def partial_scale(cov: CovarianceMatrix, mode: int, lam: float) -> CovarianceMatrix:
@@ -137,10 +145,7 @@ def partial_scale(cov: CovarianceMatrix, mode: int, lam: float) -> CovarianceMat
     """
     if lam == 0:
         raise ValueError("scaling parameter must be nonzero")
-    idx = _check_mode(cov, mode)
-    diag = np.ones(2 * cov.modes)
-    diag[cov.modes + idx] = 1.0 / lam
-    return CovarianceMatrix(cov.modes, diag[:, None] * cov.matrix * diag[None, :])
+    return _diagonal_congruence(cov, mode, 1.0, 1.0 / lam)
 
 
 def is_valid_state(cov: CovarianceMatrix, tol: float = moments.PSD_TOL) -> tuple[bool, float]:
@@ -230,17 +235,4 @@ def interleaved_to_block(matrix: np.ndarray) -> np.ndarray:
     if matrix.shape != (size, size) or size % 2:
         raise ValueError(f"expected an even-sized square matrix, got {matrix.shape}")
     idx = np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])
-    return matrix[np.ix_(idx, idx)]
-
-
-def block_to_interleaved(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`interleaved_to_block`."""
-    matrix = np.asarray(matrix)
-    size = matrix.shape[0]
-    if matrix.shape != (size, size) or size % 2:
-        raise ValueError(f"expected an even-sized square matrix, got {matrix.shape}")
-    modes = size // 2
-    idx = np.empty(size, dtype=int)
-    idx[0::2] = np.arange(modes)
-    idx[1::2] = np.arange(modes) + modes
     return matrix[np.ix_(idx, idx)]

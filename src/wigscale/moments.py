@@ -29,7 +29,6 @@ __all__ = [
     "multimode_uncertainty_matrix",
     "det_bound",
     "is_psd",
-    "leading_minors",
 ]
 
 #: relative positivity tolerance; saturated states sit exactly on the boundary
@@ -56,6 +55,10 @@ class HermitianMatrix:
 
     def __post_init__(self):
         store_validated(self, "entries", (self.dim, self.dim), complex, "matrix", hermitian=True)
+
+    def trace(self) -> float:
+        """Sum of the diagonal, which is real for a Hermitian matrix."""
+        return float(np.trace(self.entries).real)
 
 
 def moments_from_grid(w: GridWigner) -> SecondMoments:
@@ -146,16 +149,3 @@ def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     scale = max(1.0, float(np.abs(h.entries).max()))
     min_eig = float(eigenvalues[0])
     return min_eig >= -tol * scale, min_eig
-
-
-def leading_minors(h: HermitianMatrix) -> list[float]:
-    """Determinants of the leading principal submatrices, in order.
-
-    All strictly positive iff the matrix is positive definite (Sylvester);
-    exposed for inspection and cross-checks, while decisions use
-    :func:`is_psd` because the strict-minor form misreads semidefinite
-    boundary cases.
-    """
-    return [
-        float(np.linalg.det(h.entries[:k, :k]).real) for k in range(1, h.dim + 1)
-    ]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wigscale import cli, gaussian_cv, moments
 
@@ -198,7 +202,9 @@ class TestSeparability:
 
     def test_interleaved_ordering_accepted(self, capsys, tmp_path):
         cov = gaussian_cv.two_mode_squeezed(1.0)
-        interleaved = gaussian_cv.block_to_interleaved(cov.matrix)
+        # interleaved index k holds block index order[k]: (q1, p1, q2, p2) from (q1, q2, p1, p2)
+        order = [0, 2, 1, 3]
+        interleaved = cov.matrix[np.ix_(order, order)]
         path = tmp_path / "inter.json"
         path.write_text(
             json.dumps({"modes": 2, "ordering": "interleaved", "matrix": interleaved.tolist()})
@@ -255,6 +261,14 @@ class TestSeparability:
         path.write_text("not json {")
         code, _, err = run(capsys, "separability", "--cov", str(path), "--modes", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["-1,inf", "nan,1", "-1,1e999", "-Infinity,1", "-1:inf:3", "nan:1:3"])
+    def test_non_finite_lambda_rejected(self, capsys, tmp_path, grid):
+        path = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "1.0", "--out", str(path))
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "1", f"--lambda-grid={grid}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: lambda grid values must be finite") and err.count("\n") == 1
 
     def test_zero_in_grid_rejected(self, capsys, tmp_path):
         path = tmp_path / "vac.json"
@@ -351,7 +365,70 @@ class TestEntryPoints:
         assert done.stdout == "[]\n"
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+square_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.floats() | st.integers(), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+orderings = st.sampled_from(["q-block-p-block", "interleaved"])
+# symmetric matrices of any floats (NaN and infinities included), and multiples of the identity
+# (valid states from 0.5 on)
+symmetric = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        arrays(float, (2 * m, 2 * m), elements=st.floats()).map(lambda a: np.tril(a) + np.tril(a, -1).T)
+        | st.floats(0.0, 2.0).map(lambda c: c * np.eye(2 * m)),
+    )
+)
+# arbitrary JSON, objects that carry the three keys with arbitrary or nearly right values, and
+# well-formed files
+covariance_payloads = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"modes": st.integers(-1, 3) | json_values, "ordering": orderings | json_values,
+                           "matrix": square_rows | json_values}),
+    st.builds(lambda ordering, case: {"modes": case[0], "ordering": ordering, "matrix": case[1].tolist()},
+              orderings, symmetric),
+)
+
+
 class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "payload",
+        [3, None, "modes ordering matrix", [], {"modes": 1, "ordering": "interleaved", "matrix": {"a": 1}},
+         {"modes": 1, "ordering": "interleaved", "matrix": [[{"a": 1}, 1], [1, 1]]}],
+        ids=["number", "null", "string", "list", "matrix-object", "row-object"],
+    )
+    def test_malformed_payload_rejected(self, capsys, tmp_path, payload):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deeply_nested_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cov.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=covariance_payloads)
+    def test_any_json_payload_exits_0_or_2(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_cov.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["separability", "--cov", str(path), "--modes", "1"])
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=pytest.fail)  # strict JSON: no NaN or Infinity
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
     @pytest.mark.parametrize("modes", [[2], "two", 2.5, True, 0, -1, None])
     def test_bad_modes_value_rejected(self, capsys, tmp_path, modes):
         path = tmp_path / "cov.json"

@@ -4,14 +4,15 @@ from scipy.special import eval_hermite, factorial
 
 from conftest import fock_density, fock_grid, fock_projection
 from wigscale.fock_space import (
-    FockMatrix,
-    hermite_function,
+    HERMITE_INDEX_LIMIT,
+    _hermite_basis,
     ladder_operators,
     moment_matrix,
     project_state,
     quadrature_pair_operators,
     spectrum,
 )
+from wigscale.moments import HermitianMatrix
 from wigscale.phase_space import GridSpec, PositionDensity
 
 
@@ -20,19 +21,25 @@ def scaled_first_excited_overlap(lam):
     return 2.0 * lam**2 * (lam**2 - 1.0) / (1.0 + lam**2) ** 2
 
 
+def hermite_function(n, x):
+    """psi_n(x): row n of the basis that project_state uses."""
+    return _hermite_basis(n + 1, np.atleast_1d(np.asarray(x, dtype=float)))[n]
+
+
 class TestHermiteFunction:
     def test_ground_state_at_origin(self):
-        assert hermite_function(0, 0.0) == pytest.approx(np.pi**-0.25)
-        assert hermite_function(0, 0.0) == pytest.approx(0.7511255444649425)
+        assert hermite_function(0, 0.0)[0] == pytest.approx(np.pi**-0.25)
+        assert hermite_function(0, 0.0)[0] == pytest.approx(0.7511255444649425)
 
     def test_first_excited_odd(self):
-        assert hermite_function(1, 0.0) == 0.0
+        assert hermite_function(1, 0.0)[0] == 0.0
 
     @pytest.mark.parametrize("n", range(11))
     def test_normalization_by_quadrature(self, n):
         x = np.linspace(-12.0, 12.0, 4001)
         values = hermite_function(n, x)
         assert np.trapezoid(values * values, x) == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_array_equal(hermite_function(n, -x), (-1) ** n * values)  # parity
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 14])
     def test_matches_physicists_hermite_polynomials(self, n):
@@ -42,13 +49,18 @@ class TestHermiteFunction:
         np.testing.assert_allclose(hermite_function(n, x), expected, atol=1e-12)
 
     def test_index_limit(self):
-        with pytest.raises(ValueError):
-            hermite_function(201, 0.0)
-        with pytest.raises(ValueError):
-            hermite_function(-1, 0.0)
+        # project_state evaluates psi_0 .. psi_{dim-1}; the limit is checked before any grid guard
+        rho = fock_density(0)
+        dim = HERMITE_INDEX_LIMIT + 2
+        with pytest.raises(ValueError, match=f"dim {dim} exceeds supported limit {dim - 1}"):
+            project_state(rho, dim)
+        with pytest.raises(ValueError, match="turning point"):
+            project_state(rho, HERMITE_INDEX_LIMIT + 1)
+        with pytest.raises(ValueError, match="dim must be positive"):
+            project_state(rho, 0)
 
     def test_no_overflow_at_high_index(self):
-        values = hermite_function(200, np.linspace(-25, 25, 101))
+        values = hermite_function(HERMITE_INDEX_LIMIT, np.linspace(-25, 25, 101))
         assert np.all(np.isfinite(values))
 
 
@@ -103,12 +115,12 @@ class TestProjectState:
 
     def test_truncation_deficit_reported(self):
         fm = fock_projection(1, lam=0.5, dim=32)
-        assert fm.truncation_deficit == pytest.approx(abs(1.0 - fm.trace()), abs=1e-12)
-        assert fm.truncation_deficit < 1e-3
+        assert spectrum(fm).truncation_deficit == abs(1.0 - fm.trace())
+        assert spectrum(fm).truncation_deficit < 1e-3
 
     def test_trace_convergence_under_doubling(self):
         deficits = [
-            fock_projection(1, lam=0.5, dim=dim).truncation_deficit for dim in (8, 16, 32, 64)
+            spectrum(fock_projection(1, lam=0.5, dim=dim)).truncation_deficit for dim in (8, 16, 32, 64)
         ]
         assert all(a > b for a, b in zip(deficits, deficits[1:]))
         assert deficits[2] < 1e-3
@@ -137,7 +149,7 @@ class TestSpectrum:
     def test_pure_fock_state(self):
         entries = np.zeros((8, 8))
         entries[1, 1] = 1.0
-        spec = spectrum(FockMatrix(8, entries))
+        spec = spectrum(HermitianMatrix(8, entries))
         assert spec.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
         assert spec.trace == pytest.approx(1.0, abs=1e-15)
         assert spec.eigenvalues[-1] == pytest.approx(1.0)
@@ -181,7 +193,7 @@ class TestMomentMatrix:
     def test_mixed_state_averages_variances(self):
         entries = np.zeros((8, 8))
         entries[0, 0] = entries[1, 1] = 0.5
-        m = moment_matrix(FockMatrix(8, entries), quadrature_pair_operators(8))
+        m = moment_matrix(HermitianMatrix(8, entries), quadrature_pair_operators(8))
         np.testing.assert_allclose(m.entries, [[1.0, 0.5j], [-0.5j, 1.0]], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -195,18 +207,19 @@ class TestMomentMatrix:
         entries[1, 1] = 1.0
         with pytest.raises(ValueError, match="A_ji"):
             moment_matrix(
-                FockMatrix(8, entries),
+                HermitianMatrix(8, entries),
                 [[q.entries @ q.entries, qp], [qp, p.entries @ p.entries]],
             )
 
 
 class TestFockMatrixType:
+    """Number-basis operators are plain HermitianMatrix values; the truncation deficit is a Spectrum field."""
+
     def test_rejects_non_hermitian(self):
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[0, 1] = 1.0
+        lower = np.diag(np.sqrt(np.arange(1.0, 4.0)), 1)  # the annihilation operator at dim 4
         with pytest.raises(ValueError, match="Hermitian"):
-            FockMatrix(4, bad)
+            HermitianMatrix(4, lower.astype(complex))
 
     def test_trace_is_real(self):
         fm = fock_projection(1, lam=0.5, dim=16)
-        assert isinstance(fm.trace(), float)
+        assert isinstance(fm, HermitianMatrix) and isinstance(fm.trace(), float)

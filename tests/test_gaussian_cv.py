@@ -5,7 +5,6 @@ from conftest import product_sigma, random_single_mode_sigma
 from wigscale import moments, phase_space
 from wigscale.gaussian_cv import (
     CovarianceMatrix,
-    block_to_interleaved,
     default_lambda_grid,
     interleaved_to_block,
     is_valid_state,
@@ -249,7 +248,11 @@ class TestOrderingConversion:
         rng = np.random.default_rng(41)
         raw = rng.normal(size=(6, 6))
         sigma = raw + raw.T
-        np.testing.assert_array_equal(block_to_interleaved(interleaved_to_block(sigma)), sigma)
+        # block position k holds interleaved index order[k]: (q1, q2, q3, p1, p2, p3)
+        order = [0, 2, 4, 1, 3, 5]
+        np.testing.assert_array_equal(interleaved_to_block(sigma), sigma[np.ix_(order, order)])
+        back = np.argsort(order)
+        np.testing.assert_array_equal(interleaved_to_block(sigma)[np.ix_(back, back)], sigma)
 
     def test_known_permutation(self):
         # interleaved (q1, p1, q2, p2) -> block (q1, q2, p1, p2)

@@ -11,7 +11,6 @@ from wigscale.moments import (
     SecondMoments,
     det_bound,
     is_psd,
-    leading_minors,
     moments_from_grid,
     multimode_uncertainty_matrix,
     sr_matrix,
@@ -178,36 +177,13 @@ class TestIsPsd:
         assert ok
         assert min_eig == pytest.approx(0.0, abs=1e-6)
 
-
-class TestLeadingMinors:
-    def test_scaled_first_excited(self):
-        h = sr_matrix(SecondMoments(0, 0, 6.0, 6.0, 0.0))
-        minors = leading_minors(h)
-        assert minors[0] == pytest.approx(6.0)
-        assert minors[1] == pytest.approx(35.75)
-
-    def test_identity(self):
-        assert leading_minors(hermitian_from(np.eye(3))) == pytest.approx([1.0, 1.0, 1.0])
-
-    def test_positive_definite_agreement_with_eigensolver(self):
+    def test_random_positive_definite_accepted(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             dim = rng.integers(2, 7)
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = hermitian_from(raw @ raw.conj().T + 0.1 * np.eye(dim))
-            ok, _ = is_psd(h)
-            assert ok
-            assert all(m > 0 for m in leading_minors(h))
-
-    def test_sylvester_eigenvalue_equivalence(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            dim = rng.integers(2, 9)
-            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = hermitian_from(0.5 * (raw + raw.conj().T))
-            minors_positive = all(m > 0 for m in leading_minors(h))
-            min_eig = np.linalg.eigvalsh(h.entries)[0]
-            assert minors_positive == (min_eig > 0)
+            ok, min_eig = is_psd(hermitian_from(raw @ raw.conj().T + 0.1 * np.eye(dim)))
+            assert ok and min_eig > 0
 
 
 class TestInvariants:
@@ -264,3 +240,7 @@ class TestHermitianMatrixType:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             HermitianMatrix(3, np.eye(2))
+
+    def test_trace_is_the_real_diagonal_sum(self):
+        trace = hermitian_from([[1.5, 2.0j], [-2.0j, -0.25]]).trace()
+        assert isinstance(trace, float) and trace == 1.25

@@ -1,10 +1,11 @@
-"""Property tests for the linear phase-space map and the validated array types."""
+"""Property tests for the linear phase-space map, its action on moments and the validated types."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import fock_grid
 from wigscale import fock_space, gaussian_cv, moments, phase_space
 from wigscale._validated import HERMITICITY_TOL
 from wigscale.phase_space import AnalyticWigner, GridSpec, apply_linear_map
@@ -114,6 +115,80 @@ class TestLinearMap:
             apply_linear_map(grid(0, 8.0, 16), A)
 
 
+def raw_moments(w):
+    """Central second moments sum(x x^T W) dq dp / 2 pi, not divided by the norm.
+
+    moments_from_grid needs norm 1, which a resampled grid keeps only to O(h^2), so the grid is
+    rescaled to norm 1 and the moments scaled back (the means are 0 to round-off).
+    """
+    norm = w.norm()
+    m = moments.moments_from_grid(phase_space.GridWigner(w.spec, w.values / norm))
+    return norm * np.array([[m.sigma_qq, m.sigma_qp], [m.sigma_qp, m.sigma_pp]])
+
+
+def resampling_bound(w):
+    """(h^2 / 8) * integral of r^2 (|W_qq| + |W_pp|) dq dp / 2 pi, from second differences of `w`."""
+    v, h = w.values, w.spec.step
+    curvature = np.zeros_like(v)
+    curvature[1:-1] += np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2])
+    curvature[:, 1:-1] += np.abs(v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2])
+    x = w.spec.axis()
+    r2 = x[:, None] ** 2 + x**2
+    return (r2 * curvature).sum() * w.spec.quadrature_weight / 8.0  # curvature / h^2 times h^2 / 8
+
+
+class TestCrossRepresentation:
+    """The grid map W -> |det A| W(A x) takes the second moments to A^-1 Sigma A^-T, up to resampling.
+
+    Along each interpolated axis, linear interpolation at a fractional offset t errs by
+    (h^2 / 2) t (1 - t) W'' <= (h^2 / 8) |W''|, h the grid step. With y = A x the moment error is
+    A^-1 E A^-T, and every |E_ij| is at most :func:`resampling_bound`, so an entry is off by at most
+    that bound times the largest row sum of |A^-1|, squared. The moments of the input itself
+    converge far faster. Measured errors at 256, 512 and 768 points stay below 0.36 of the bound.
+    """
+
+    EXTENT, POINTS = 8.0, 512  # the mapped Fock n <= 3 states stay inside the extent
+
+    def assert_congruence(self, n, grid_map, expected, a_inv):
+        w = fock_grid(n, extent=self.EXTENT, points=self.POINTS)
+        want = expected(gaussian_cv.CovarianceMatrix(1, raw_moments(w))).matrix
+        tol = resampling_bound(w) * np.abs(a_inv).sum(axis=1).max() ** 2
+        assert np.abs(raw_moments(grid_map(w)) - want).max() <= tol
+
+    @SETTINGS
+    @given(st.integers(0, 3), st.floats(0.75, 1.3), st.sampled_from([-1.0, 1.0]))
+    def test_partial_scaling_is_partial_scale(self, n, lam, sign):
+        lam *= sign
+        self.assert_congruence(
+            n,
+            lambda w: phase_space.apply_partial_scaling(w, lam),
+            lambda cov: gaussian_cv.partial_scale(cov, 1, lam),
+            np.diag([1.0, 1.0 / lam]),
+        )
+
+    @SETTINGS
+    @given(st.integers(0, 3), st.floats(0.75, 1.3))
+    def test_squeeze_is_squeeze_symplectic(self, n, kappa):
+        self.assert_congruence(
+            n,
+            lambda w: phase_space.apply_squeeze(w, kappa),
+            lambda cov: gaussian_cv.squeeze_symplectic(cov, 1, kappa),
+            np.diag([1.0 / kappa, kappa]),
+        )
+
+    @SETTINGS
+    @given(st.integers(0, 3), st.floats(-0.3, 0.3), st.booleans())
+    def test_shear_is_the_inverse_congruence(self, n, s, upper):
+        A = np.array([[1.0, s], [0.0, 1.0]]) if upper else np.array([[1.0, 0.0], [s, 1.0]])
+        a_inv = np.linalg.inv(A)
+        self.assert_congruence(
+            n,
+            lambda w: apply_linear_map(w, A),
+            lambda cov: gaussian_cv.CovarianceMatrix(1, a_inv @ cov.matrix @ a_inv.T),
+            a_inv,
+        )
+
+
 def hermitian(data, size, complex_valued):
     x = data.draw(arrays(float, (size, size), elements=entries))
     if complex_valued:
@@ -126,7 +201,6 @@ TYPES = {
     "GridWigner": (lambda v: phase_space.GridWigner(GridSpec(8.0, 16), v), 16, False, False),
     "PositionDensity": (lambda v: phase_space.PositionDensity(GridSpec(8.0, 16), v), 16, True, True),
     "HermitianMatrix": (lambda v: moments.HermitianMatrix(v.shape[0], v), 3, True, True),
-    "FockMatrix": (lambda v: fock_space.FockMatrix(v.shape[0], v), 5, True, True),
     "CovarianceMatrix": (lambda v: gaussian_cv.CovarianceMatrix(v.shape[0] // 2, v), 4, False, True),
 }
 
@@ -205,7 +279,7 @@ class TestToleranceRegressions:
         assert isinstance(ok, bool) and np.isfinite(low)
 
     def test_nan_operator_rejected_not_certified(self):
-        rho = fock_space.FockMatrix(8, np.diag([1.0] + [0.0] * 7))
+        rho = moments.HermitianMatrix(8, np.diag([1.0] + [0.0] * 7))
         ops = fock_space.quadrature_pair_operators(8)
         ops[0][0] = np.full((8, 8), np.nan)
         with pytest.raises(ValueError, match="non-finite"):
