@@ -77,11 +77,6 @@ class GridSpec:
         h = self.step
         return -self.extent + (np.arange(self.points_per_axis) + 0.5) * h
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, P) coordinate matrices; rows index q, columns index p."""
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="ij")
-
     @property
     def quadrature_weight(self) -> float:
         """Weight of one cell in the integral dq dp / (2 pi)."""
@@ -163,20 +158,34 @@ def eval_fock_wigner(state: AnalyticWigner, q, p):
     Returns:
         scale^2 * W_n at the squeezed-and-scaled arguments, where
         W_0 = 2 exp(-q^2 - p^2), W_1 = 2 (2q^2 + 2p^2 - 1) exp(-q^2 - p^2),
-        and W_n = 2 (-1)^n L_n(2q^2 + 2p^2) exp(-q^2 - p^2) for n >= 2.
+        and W_n = 2 (-1)^n L_n(2q^2 + 2p^2) exp(-q^2 - p^2) for n >= 2: an
+        array of the broadcast shape of q and p, or a numpy scalar for scalars.
     """
     lam = state.scale
     qq = lam * state.squeeze * np.asarray(q, dtype=float)
     pp = lam * np.asarray(p, dtype=float) / state.squeeze
-    r2 = qq * qq + pp * pp
+    # the closed forms' operations in their order, in place in two buffers of the broadcast
+    # shape: a column q and a row p then allocate no coordinate mesh and no temporary
+    r2 = np.add(qq * qq, pp * pp, out=np.empty(np.broadcast_shapes(qq.shape, pp.shape)))
+    gauss = np.negative(r2, out=np.empty_like(r2))
+    np.exp(gauss, out=gauss)
     n = state.fock_index
     if n == 0:
-        base = 2.0 * np.exp(-r2)
+        base = gauss
+        base *= 2.0
     elif n == 1:
-        base = 2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)
+        base = r2
+        base *= 2.0
+        base -= 1.0
+        base *= 2.0
+        base *= gauss
     else:
-        base = 2.0 * (-1.0) ** n * _laguerre(n, 2.0 * r2) * np.exp(-r2)
-    return lam * lam * base
+        r2 *= 2.0
+        base = _laguerre(n, r2)
+        base *= 2.0 * (-1.0) ** n
+        base *= gauss
+    base *= lam * lam
+    return base[()]
 
 
 def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
@@ -196,24 +205,39 @@ def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
 def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridWigner:
     """Sample an analytic state at the cell centers of `spec`.
 
+    Rows index q and columns index p. The state is evaluated on the axis as a
+    column and a row, which :func:`eval_fock_wigner` broadcasts to the grid.
+
     Args:
         state: analytic state description.
         spec: target grid; defaults to :func:`default_grid` for the state.
 
     Raises:
         ValueError: if the extent cannot hold the state (normalization of a
-            state scaled by |scale| < 1 needs extent >= 4 / |scale|).
+            state scaled by |scale| < 1 needs extent >= 4 / |scale|), or if the
+            Fock index exceeds the points per axis N. No grid of N points
+            resolves such a state: W_n's outer ring sits at radius
+            sqrt(2n + 1) / |scale|, which the extent must cover, and its radial
+            wavenumber reaches 2 sqrt(2n + 1) |scale|, which the step
+            2 extent / N must Nyquist-sample; both hold only if
+            2n + 1 <= pi N / 4, so n <= N is a generous bound, checked before
+            any N x N work.
     """
     if spec is None:
         spec = default_grid(state)
+    if state.fock_index > spec.points_per_axis:
+        raise ValueError(
+            f"fock index {state.fock_index} exceeds the {spec.points_per_axis} points per axis: "
+            f"no grid of that size resolves W_n (it needs 2n + 1 <= pi N / 4)"
+        )
     required = _MIN_EXTENT_FACTOR * max(1.0, 1.0 / abs(state.scale))
     if spec.extent < required * (1.0 - 1e-12):
         raise ValueError(
             f"grid too small: extent {spec.extent:g} < required {required:g} "
             f"for scale {state.scale:g}"
         )
-    Q, P = spec.meshes()
-    return GridWigner(spec, eval_fock_wigner(state, Q, P))
+    x = spec.axis()
+    return GridWigner(spec, eval_fock_wigner(state, x[:, None], x))
 
 
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -223,7 +247,9 @@ def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     (n, 1) column and a (1, n) row when the row index depends on i alone and the column
     index on j alone. Then only the flat corner indices ia + ja are n x n (a broadcast
     sum, which `take` reads faster than an advanced index of the padded grid), and the
-    weights are the per-axis fractions, the same floats as in full arrays.
+    weights are the per-axis fractions, the same floats as in full arrays. When every
+    fraction is 0 (the identity, the reflections, -I, the swaps) only the first corner
+    is gathered.
     """
     n = w.spec.points_per_axis
     i0, j0 = np.floor(fi), np.floor(fj)
@@ -232,12 +258,15 @@ def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     flat = np.pad(w.values, 1).ravel()
     ia, ib = (np.clip(i, 0, n + 1).astype(np.intp) * (n + 2) for i in (i0 + 1, i0 + 2))
     ja, jb = (np.clip(j, 0, n + 1).astype(np.intp) for j in (j0 + 1, j0 + 2))
-    return (
-        flat.take(ia + ja) * (1 - ti) * (1 - tj)
-        + flat.take(ib + ja) * ti * (1 - tj)
-        + flat.take(ia + jb) * (1 - ti) * tj
-        + flat.take(ib + jb) * ti * tj
-    )
+    corner = flat.take(ia + ja) * (1 - ti) * (1 - tj)
+    if not (ti.any() or tj.any()):
+        # every source is a cell center: the other three weights are 0, and their terms
+        # add +-0, which changes no bit unless the grid holds -0.0 (then the sum reads +0.0)
+        return corner
+    corner += flat.take(ib + ja) * ti * (1 - tj)
+    corner += flat.take(ia + jb) * (1 - ti) * tj
+    corner += flat.take(ib + jb) * ti * tj
+    return corner
 
 
 def apply_linear_map(w: GridWigner, A) -> GridWigner:

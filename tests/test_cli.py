@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -393,6 +394,15 @@ covariance_payloads = st.one_of(
               orderings, symmetric),
 )
 
+# arbitrary text, and the two spec forms built from numbers that are tiny, huge, zero or not finite
+lambda_numbers = st.floats() | st.sampled_from(["1e-300", "1e300", "-0", "0x1p-3", "1_0", " 0.5 ", "infinity"])
+lambda_grid_tokens = st.one_of(
+    st.text(),
+    st.lists(lambda_numbers.map(str), min_size=0, max_size=6).map(",".join),
+    st.builds(lambda a, b, count: f"{a}:{b}:{count}", lambda_numbers, lambda_numbers,
+              st.integers(0, 50) | st.sampled_from([10_001, 10**40])),
+)
+
 
 class TestInputBoundary:
     @pytest.mark.parametrize(
@@ -428,6 +438,29 @@ class TestInputBoundary:
         else:
             assert code == 2 and out.getvalue() == ""
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(token=lambda_grid_tokens)
+    def test_any_lambda_grid_exits_0_or_2(self, tmp_path_factory, token):
+        path = tmp_path_factory.getbasetemp() / "tmsv_for_lambda_grid.json"
+        path.write_text(json.dumps({"modes": 2, "ordering": "q-block-p-block",
+                                    "matrix": gaussian_cv.two_mode_squeezed(1.0).matrix.tolist()}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["separability", "--cov", str(path), "--modes", "2", f"--lambda-grid={token}"])
+        if code == 0:
+            payload = json.loads(out.getvalue(), parse_constant=pytest.fail)
+            assert len(payload["rows"]) >= 1 and all(row[0] != 0.0 for row in payload["rows"])
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+    def test_oversized_fock_index_refused_before_sampling(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "uncertainty", "--state", "fock100000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: fock index 100000 exceeds the 512 points per axis") and err.count("\n") == 1
 
     @pytest.mark.parametrize("modes", [[2], "two", 2.5, True, 0, -1, None])
     def test_bad_modes_value_rejected(self, capsys, tmp_path, modes):

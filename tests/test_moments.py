@@ -27,7 +27,7 @@ def hermitian_from(entries):
 def mesh_moments(w):
     """Reference: the moment sums over the two n x n coordinate meshes, as first written."""
     w.require_normalized()
-    Q, P = w.spec.meshes()
+    Q, P = np.meshgrid(w.spec.axis(), w.spec.axis(), indexing="ij")
     weight = w.spec.quadrature_weight
     mean_q = float((w.values * Q).sum() * weight)
     mean_p = float((w.values * P).sum() * weight)

@@ -1,7 +1,9 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.signal import resample
 from scipy.special import eval_laguerre
@@ -74,6 +76,23 @@ def full_range_density_to_wigner(rho):
     diagonals[:, 1:] *= 2.0
     phase = np.outer(2.0 * h * np.arange(rho.spec.points_per_axis), x)
     return 2.0 * h * (diagonals.real @ np.cos(phase) + diagonals.imag @ np.sin(phase))
+
+
+def mesh_fock_wigner(state, spec):
+    """Reference: the sampled grid as first written, the closed forms over two n x n meshes."""
+    Q, P = np.meshgrid(spec.axis(), spec.axis(), indexing="ij")
+    lam = state.scale
+    qq = lam * state.squeeze * Q
+    pp = lam * P / state.squeeze
+    r2 = qq * qq + pp * pp
+    n = state.fock_index
+    if n == 0:
+        base = 2.0 * np.exp(-r2)
+    elif n == 1:
+        base = 2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)
+    else:
+        base = 2.0 * (-1.0) ** n * phase_space._laguerre(n, 2.0 * r2) * np.exp(-r2)
+    return lam * lam * base
 
 
 def resolved(n, lam, kappa, spec):
@@ -172,6 +191,56 @@ class TestSampling:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_norm_on_default_grid(self, n):
         assert fock_grid(n).norm() == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        lam=st.floats(0.25, 2.0) | st.floats(-2.0, -0.25),
+        kappa=st.floats(0.5, 2.0),
+        half_points=st.integers(8, 256),
+        reach=st.floats(0.0, 1.0),
+    )
+    def test_equals_the_mesh_reference_bit_for_bit(self, n, lam, kappa, half_points, reach):
+        # extents from the smallest accepted up to 40, where exp underflows to exact zeros
+        required = 4.0 * max(1.0, 1.0 / abs(lam))
+        spec = GridSpec(required + reach * (40.0 - required), 2 * half_points)
+        got = sample_to_grid(AnalyticWigner(n, lam, kappa), spec).values
+        assert np.array_equal(got.view(np.int64), mesh_fock_wigner(AnalyticWigner(n, lam, kappa), spec).view(np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_eval_returns_a_scalar_or_the_broadcast_shape(self, n):
+        state = AnalyticWigner(n, 0.7, 1.3)
+        value = eval_fock_wigner(state, 0.3, -0.2)
+        assert type(value) is np.float64
+        assert value == eval_fock_wigner(state, np.array([0.3]), np.array([-0.2]))[0]
+        assert eval_fock_wigner(state, np.zeros((3, 1)), np.zeros(5)).shape == (3, 5)
+        assert eval_fock_wigner(state, np.zeros(4), 0.5).shape == (4,)
+
+    @pytest.mark.parametrize("n,grids", [(0, 2), (1, 2), (2, 5), (5, 5)])
+    def test_peak_memory_at_1024_points(self, n, grids):
+        # two buffers for the closed forms and three more for the Laguerre recurrence, freed
+        # before GridWigner's validated copy; the allowance covers the axis-length vectors
+        spec = GridSpec(8.0, 1024)
+        grid_bytes = 8 * 1024**2
+        tracemalloc.start()
+        try:
+            sample_to_grid(AnalyticWigner(n, 0.8), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grids * grid_bytes + 8 * 8 * 1024
+
+    def test_fock_index_up_to_the_points_per_axis(self):
+        spec = GridSpec(8.0, 16)
+        assert sample_to_grid(AnalyticWigner(16), spec).values.shape == (16, 16)
+        with pytest.raises(ValueError, match="fock index 17 exceeds the 16 points per axis"):
+            sample_to_grid(AnalyticWigner(17), spec)
+
+    def test_oversized_fock_index_refused_before_sampling(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="fock index"):
+            sample_to_grid(AnalyticWigner(100_000), GridSpec(8.0, 64))
+        assert time.perf_counter() - start < 0.2  # the recurrence alone takes over a second here
 
 
 class TestScaling:

@@ -40,6 +40,11 @@ maps = st.one_of(
     st.tuples(nonzero, nonzero, st.sampled_from([0.0, -0.0])).map(lambda d: [[d[0], -0.0], [d[2], d[1]]]),
 )
 
+# the signed permutations: identity, both reflections, -I, the swaps and the rotations by pi/2
+cell_center_maps = st.tuples(st.booleans(), st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])).map(
+    lambda d: [[0.0, d[1]], [d[2], 0.0]] if d[0] else [[d[1], 0.0], [0.0, d[2]]]
+)
+
 
 def masked_bilinear(values, fi, fj):
     """Reference gather: bounds mask per corner, as the map was first written."""
@@ -96,6 +101,28 @@ class TestLinearMap:
         assert np.array_equal(apply_linear_map(w, np.eye(2)).values, w.values)
         assert np.array_equal(phase_space.apply_partial_scaling(w, -1.0).values, w.values[:, ::-1])
         assert np.array_equal(phase_space.apply_scaling(w, -1.0).values, w.values[::-1, ::-1])
+
+    @SETTINGS
+    @given(fock_index, points, extents, st.floats(0.2, 5.0), cell_center_maps)
+    def test_cell_center_maps_are_the_masked_reference(self, n, pts, extent, kappa, A):
+        # every source is a cell center, so only one corner is gathered
+        w = grid(n, extent, pts, kappa)
+        assert not np.signbit(w.values[w.values == 0]).any()  # no -0.0, whose sign the shortcut keeps
+        fi, fj = source_indices(pts, A)
+        expected = masked_bilinear(w.values, fi, fj)
+        assert np.array_equal(apply_linear_map(w, A).values.view(np.int64), expected.view(np.int64))
+
+    def test_cell_center_map_keeps_negative_zero(self):
+        # the four-corner sum adds the zero-weight neighbours' +0.0 to a -0.0 cell and reads +0.0;
+        # the one-corner gather returns the cell's own -0.0: equal values, another sign of zero
+        values = grid(1, 8.0, 16).values.copy()
+        values[3, 5] = -0.0
+        w = phase_space.GridWigner(GridSpec(8.0, 16), values)
+        A = [[1.0, 0.0], [0.0, -1.0]]
+        mirrored = apply_linear_map(w, A).values
+        expected = masked_bilinear(values, *source_indices(16, A))
+        assert np.array_equal(mirrored, expected) and np.array_equal(mirrored, values[:, ::-1])
+        assert np.signbit(mirrored[3, 10]) and not np.signbit(expected[3, 10])
 
     @SETTINGS
     @given(fock_index, points, extents, arrays(float, (2, 2), elements=st.floats(-4.0, 4.0)))
