@@ -16,16 +16,16 @@ def hermiticity_residual(array: np.ndarray) -> float:
     return float(np.abs(array - array.conj().T).max())
 
 
-def validated_array(values, shape: tuple, dtype, name: str, hermitian: bool = False) -> np.ndarray:
-    """Check `values` and return them as a read-only, C-contiguous array.
+def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:
+    """Check field `attr` of frozen dataclass `obj` and replace it by a read-only, C-contiguous array.
 
-    With `hermitian`, returns the exact Hermitian (real: symmetric) part.
+    With `hermitian`, stores the exact Hermitian (real: symmetric) part.
 
     Raises:
         ValueError: on a shape other than `shape`, a non-finite entry, or,
             with `hermitian`, a residual max |M - M^dag| above HERMITICITY_TOL.
     """
-    array = np.asarray(values, dtype=dtype)
+    array = np.asarray(getattr(obj, attr), dtype=dtype)
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     if not np.isfinite(array).all():
@@ -40,9 +40,4 @@ def validated_array(values, shape: tuple, dtype, name: str, hermitian: bool = Fa
     else:  # exactly Hermitian already, or not required to be
         out = np.array(array, order="C")
     out.setflags(write=False)
-    return out
-
-
-def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:
-    """Replace field `attr` of frozen dataclass `obj` by its :func:`validated_array`."""
-    object.__setattr__(obj, attr, validated_array(getattr(obj, attr), shape, dtype, name, hermitian))
+    object.__setattr__(obj, attr, out)

@@ -95,7 +95,8 @@ def _state_pipeline(args):
 
 
 def _sr_report(m: moments.SecondMoments):
-    matrix = moments.sr_matrix(m)
+    cov = gaussian_cv.CovarianceMatrix(1, [[m.sigma_qq, m.sigma_qp], [m.sigma_qp, m.sigma_pp]])
+    matrix = moments.multimode_uncertainty_matrix(cov)
     verdict = "satisfied" if moments.is_psd(matrix)[0] else "violated"
     return moments.sr_value(m), np.linalg.eigvalsh(matrix.entries), verdict
 

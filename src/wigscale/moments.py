@@ -23,7 +23,6 @@ __all__ = [
     "SecondMoments",
     "HermitianMatrix",
     "moments_from_grid",
-    "sr_matrix",
     "sr_value",
     "symplectic_form",
     "multimode_uncertainty_matrix",
@@ -83,22 +82,6 @@ def moments_from_grid(w: GridWigner) -> SecondMoments:
     sigma_pp = float((wp * p).sum() * weight) - mean_p**2
     sigma_qp = float((wq * p).sum() * weight) - mean_q * mean_p
     return SecondMoments(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp)
-
-
-def sr_matrix(m: SecondMoments) -> HermitianMatrix:
-    """2x2 uncertainty matrix [[s_qq, s_qp + i/2], [s_qp - i/2, s_pp]].
-
-    Positive semidefiniteness of this matrix is the Schrodinger-Robertson
-    uncertainty relation in matrix form (central moments, so means drop out).
-    """
-    entries = np.array(
-        [
-            [m.sigma_qq, m.sigma_qp + 0.5j],
-            [m.sigma_qp - 0.5j, m.sigma_pp],
-        ],
-        dtype=complex,
-    )
-    return HermitianMatrix(2, entries)
 
 
 def sr_value(m: SecondMoments) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validated import NORM_TOL, store_validated, validated_array
+from ._validated import NORM_TOL, store_validated
 
 __all__ = [
     "GridSpec",
@@ -23,9 +23,7 @@ __all__ = [
     "default_grid",
     "eval_fock_wigner",
     "sample_to_grid",
-    "apply_linear_map",
     "apply_scaling",
-    "apply_squeeze",
     "apply_partial_scaling",
     "overlap",
     "wigner_to_density",
@@ -144,8 +142,12 @@ class PositionDensity:
 
 
 def default_grid(state: AnalyticWigner, points_per_axis: int = DEFAULT_POINTS) -> GridSpec:
-    """Grid sized for `state`: scaling by |scale| < 1 spreads the state as 1/|scale|."""
-    return GridSpec(8.0 * max(1.0, 1.0 / abs(state.scale)), points_per_axis)
+    """Grid sized for `state`.
+
+    Scaling by |scale| < 1 spreads the state as 1/|scale|, and the squeeze
+    stretches one axis by max(squeeze, 1/squeeze).
+    """
+    return GridSpec(8.0 * max(1.0, 1.0 / abs(state.scale)) * max(state.squeeze, 1.0 / state.squeeze), points_per_axis)
 
 
 def eval_fock_wigner(state: AnalyticWigner, q, p):
@@ -243,13 +245,12 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridW
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of the grid at fractional cell indices (fi, fj); zero outside it.
 
-    fi and fj broadcast to the (n, n) output: a full array each for a general map, or an
-    (n, 1) column and a (1, n) row when the row index depends on i alone and the column
-    index on j alone. Then only the flat corner indices ia + ja are n x n (a broadcast
-    sum, which `take` reads faster than an advanced index of the padded grid), and the
-    weights are the per-axis fractions, the same floats as in full arrays. When every
-    fraction is 0 (the identity, the reflections, -I, the swaps) only the first corner
-    is gathered.
+    fi is an (n, 1) column of row indices and fj a (1, n) row of column indices, which
+    broadcast to the (n, n) output. Only the flat corner indices ia + ja are n x n (a
+    broadcast sum, which `take` reads faster than an advanced index of the padded grid),
+    and the weights are the per-axis fractions, the same floats as in full arrays. When
+    every fraction is 0 (the identity, the reflections, -I) only the first corner is
+    gathered.
     """
     n = w.spec.points_per_axis
     i0, j0 = np.floor(fi), np.floor(fj)
@@ -269,52 +270,36 @@ def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     return corner
 
 
-def apply_linear_map(w: GridWigner, A) -> GridWigner:
-    """Map W(x) -> |det A| W(A x), x = (q, p), for a 2x2 `A`, resampled on the same grid.
+def _diagonal_map(w: GridWigner, a: float, b: float) -> GridWigner:
+    """Map W(q, p) -> |ab| W(aq, bp), resampled on the same grid.
 
-    Trace-preserving for every invertible A; sources A x outside the extent
-    read 0. The grid is symmetric about the origin, so A acts on cell indices
-    counted from the center (exact half-integers): the step cancels, and the
-    identity and the reflections A = diag(1, -1), -I reproduce the grid exactly.
-
-    An off-diagonal entry that is exactly 0 is left out of the source indices:
-    its term, A01 k_j say, is +-0 and is added to A00 k_i, which is nonzero (k is
-    a half-integer, and A00 != 0 when A01 = 0 and det A != 0), so no bit changes.
-    Every map the paper uses is diagonal: its row indices are then an (n, 1)
-    column and its column indices a (1, n) row, which :func:`_interpolate`
-    broadcasts, so no n x n float index array is built.
+    Trace-preserving for every finite nonzero a and b; sources outside the extent
+    read 0. The grid is symmetric about the origin, so the map acts on cell indices
+    counted from the center (exact half-integers): the step cancels, and the identity
+    and the reflections a, b = +-1 reproduce the grid exactly. The row index depends
+    on the row alone and the column index on the column alone, so no n x n float
+    index array is built.
     """
-    A = validated_array(A, (2, 2), float, "map matrix")
-    det = abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    if det == 0:
-        raise ValueError("map must be invertible (nonzero scaling parameter)")
+    det = abs(float(a) * float(b))
+    if not 0.0 < det < np.inf:
+        raise ValueError(f"map parameters must be finite with a nonzero product, got a = {a}, b = {b}")
     center = 0.5 * (w.spec.points_per_axis - 1)
     k = np.arange(w.spec.points_per_axis) - center
-    rows, cols = k[:, None], k
-    fi = A[0, 0] * rows + center if A[0, 1] == 0 else A[0, 0] * rows + A[0, 1] * cols + center
-    fj = A[1, 1] * cols + center if A[1, 0] == 0 else A[1, 0] * rows + A[1, 1] * cols + center
-    return GridWigner(w.spec, det * _interpolate(w, fi, fj))
+    return GridWigner(w.spec, det * _interpolate(w, a * k[:, None] + center, b * k + center))
 
 
 def apply_scaling(w: GridWigner, lam: float) -> GridWigner:
-    """Scaling map W(q, p) -> |lam|^2 W(lam*q, lam*p), A = lam I; nonpositive for |lam| != 1."""
-    return apply_linear_map(w, [[lam, 0.0], [0.0, lam]])
-
-
-def apply_squeeze(w: GridWigner, kappa: float) -> GridWigner:
-    """Squeezing map W(q, p) -> W(kappa*q, p/kappa), A = diag(kappa, 1/kappa); unitary."""
-    if not kappa > 0:
-        raise ValueError(f"squeeze parameter must be positive, got {kappa}")
-    return apply_linear_map(w, [[kappa, 0.0], [0.0, 1.0 / kappa]])
+    """Scaling map W(q, p) -> |lam|^2 W(lam*q, lam*p); nonpositive for |lam| != 1."""
+    return _diagonal_map(w, lam, lam)
 
 
 def apply_partial_scaling(w: GridWigner, lam: float) -> GridWigner:
-    """Momentum-only scaling W(q, p) -> |lam| W(q, lam*p), A = diag(1, lam).
+    """Momentum-only scaling W(q, p) -> |lam| W(q, lam*p).
 
     For lam > 0 this is the squeeze kappa = lam^-1/2 followed by the scaling
     sqrt(lam); lam = -1 is momentum reflection, the transpose of the mode.
     """
-    return apply_linear_map(w, [[1.0, 0.0], [0.0, lam]])
+    return _diagonal_map(w, 1.0, lam)
 
 
 def overlap(a: GridWigner, b: GridWigner) -> float:

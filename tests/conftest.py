@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from wigscale import fock_space, phase_space
+from wigscale import fock_space, gaussian_cv, moments, phase_space
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,6 +28,12 @@ def fock_density(n=0, lam=1.0, kappa=1.0, extent=None, points=512):
 @functools.lru_cache(maxsize=None)
 def fock_projection(n=0, lam=1.0, dim=fock_space.DEFAULT_DIM, extent=None, points=512):
     return fock_space.project_state(fock_density(n, lam, 1.0, extent, points), dim)
+
+
+def one_mode_uncertainty_matrix(m: moments.SecondMoments) -> moments.HermitianMatrix:
+    """Sigma + iJ/2 of the one-mode covariance [[s_qq, s_qp], [s_qp, s_pp]] of `m`."""
+    cov = gaussian_cv.CovarianceMatrix(1, [[m.sigma_qq, m.sigma_qp], [m.sigma_qp, m.sigma_pp]])
+    return moments.multimode_uncertainty_matrix(cov)
 
 
 def rotation(theta: float) -> np.ndarray:

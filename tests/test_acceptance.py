@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import fock_grid, fock_projection, product_sigma, random_single_mode_sigma
+from conftest import fock_grid, fock_projection, one_mode_uncertainty_matrix, product_sigma, random_single_mode_sigma
 from wigscale import cli, fock_space, gaussian_cv, moments, phase_space
 
 
@@ -79,7 +79,7 @@ def test_criterion_3_pseudodensity_headline():
     projected = fock_projection(1, lam=0.5, dim=32)
     spectrum = fock_space.spectrum(projected)
     m = moments.moments_from_grid(fock_grid(1, lam=0.5))
-    sr = moments.sr_matrix(m)
+    sr = one_mode_uncertainty_matrix(m)
     sr_positive, sr_min = moments.is_psd(sr)
     checks = {
         "trace in [0.999, 1.001]": 0.999 <= spectrum.trace <= 1.001,
@@ -177,7 +177,7 @@ def test_criterion_7_transform_invertibility():
 def test_criterion_8_representation_cross_check():
     failures = []
     for lam in (0.5, 0.75, 1.0):
-        grid_route = moments.sr_matrix(moments.moments_from_grid(fock_grid(1, lam=lam)))
+        grid_route = one_mode_uncertainty_matrix(moments.moments_from_grid(fock_grid(1, lam=lam)))
         fock_route = fock_space.moment_matrix(
             fock_projection(1, lam=lam, dim=32), fock_space.quadrature_pair_operators(32)
         )

@@ -111,6 +111,16 @@ class TestUncertainty:
         assert float(row["sr_value"]) < 0.25
         assert row["sr_verdict"] == "violated"
 
+    @pytest.mark.parametrize("kappa", [0.4, 0.5, 2.0, 2.5, 3.0])
+    def test_squeezed_variances_on_the_default_grid(self, capsys, kappa):
+        # the default extent grows by max(kappa, 1/kappa), so the stretched axis stays on the grid
+        code, out, _ = run(capsys, "uncertainty", "--state", "fock1", "--kappa", str(kappa))
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["sigma_qq"]) == pytest.approx(1.5 / kappa**2, rel=1e-9)
+        assert float(row["sigma_pp"]) == pytest.approx(1.5 * kappa**2, rel=1e-9)
+
     def test_unknown_state_rejected(self, capsys):
         code, _, err = run(capsys, "uncertainty", "--state", "bell")
         assert code == 2

@@ -64,14 +64,11 @@ class TestSqueezeSymplectic:
         out = squeeze_symplectic(vacuum(1), 1, 2.0)
         # q variance shrinks by kappa^2, p variance grows by kappa^2
         np.testing.assert_allclose(out.matrix, np.diag([0.125, 2.0]), atol=1e-15)
-        # matches the grid-level squeeze map applied to the sampled vacuum
-        w = phase_space.apply_squeeze(
-            phase_space.sample_to_grid(phase_space.AnalyticWigner(0), phase_space.GridSpec(8.0, 1024)),
-            2.0,
-        )
+        # matches the moments of the exactly squeezed vacuum W_0(2q, p/2), sampled
+        w = phase_space.sample_to_grid(phase_space.AnalyticWigner(0, 1.0, 2.0), phase_space.GridSpec(8.0, 1024))
         m = moments.moments_from_grid(w)
-        assert m.sigma_qq == pytest.approx(out.matrix[0, 0], abs=1e-3)
-        assert m.sigma_pp == pytest.approx(out.matrix[1, 1], abs=1e-3)
+        assert m.sigma_qq == pytest.approx(out.matrix[0, 0], abs=1e-5)
+        assert m.sigma_pp == pytest.approx(out.matrix[1, 1], abs=1e-5)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.5, 2.0, 4.0])
     def test_validity_preserved(self, kappa):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fock_grid, fock_projection, random_single_mode_sigma
+from conftest import fock_grid, fock_projection, one_mode_uncertainty_matrix, random_single_mode_sigma
 from wigscale import fock_space, gaussian_cv, phase_space
 from wigscale.moments import (
     HermitianMatrix,
@@ -13,7 +13,6 @@ from wigscale.moments import (
     is_psd,
     moments_from_grid,
     multimode_uncertainty_matrix,
-    sr_matrix,
     sr_value,
     symplectic_form,
 )
@@ -79,21 +78,21 @@ class TestMomentsFromGrid:
 
 class TestSrMatrix:
     def test_ground_state_saturates(self):
-        h = sr_matrix(moments_from_grid(fock_grid(0)))
+        h = one_mode_uncertainty_matrix(moments_from_grid(fock_grid(0)))
         expected = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
         np.testing.assert_allclose(h.entries, expected, atol=1e-6)
         eigenvalues = np.linalg.eigvalsh(h.entries)
         np.testing.assert_allclose(eigenvalues, [0.0, 1.0], atol=1e-6)
 
     def test_scaled_first_excited_positive_definite(self):
-        h = sr_matrix(moments_from_grid(fock_grid(1, lam=0.5)))
+        h = one_mode_uncertainty_matrix(moments_from_grid(fock_grid(1, lam=0.5)))
         expected = np.array([[6.0, 0.5j], [-0.5j, 6.0]])
         np.testing.assert_allclose(h.entries, expected, atol=1e-5)
         ok, min_eig = is_psd(h)
         assert ok and min_eig > 0.0
 
     def test_below_vacuum_variances_violate(self):
-        h = sr_matrix(SecondMoments(0.0, 0.0, 0.4, 0.4, 0.0))
+        h = one_mode_uncertainty_matrix(SecondMoments(0.0, 0.0, 0.4, 0.4, 0.0))
         ok, min_eig = is_psd(h)
         assert not ok
         assert min_eig == pytest.approx(-0.1, abs=1e-12)
@@ -173,7 +172,7 @@ class TestIsPsd:
         assert min_eig == pytest.approx((1.0 - np.sqrt(2.0)) / 2.0, abs=1e-12)
 
     def test_saturated_boundary_accepted(self):
-        ok, min_eig = is_psd(sr_matrix(moments_from_grid(fock_grid(0))))
+        ok, min_eig = is_psd(one_mode_uncertainty_matrix(moments_from_grid(fock_grid(0))))
         assert ok
         assert min_eig == pytest.approx(0.0, abs=1e-6)
 
@@ -210,7 +209,7 @@ class TestInvariants:
         # uncertainty matrix positive definite, yet the operator has a
         # negative eigenvalue: the relation does not determine the state
         grid = fock_grid(1, lam=lam)
-        ok, min_eig = is_psd(sr_matrix(moments_from_grid(grid)))
+        ok, min_eig = is_psd(one_mode_uncertainty_matrix(moments_from_grid(grid)))
         assert ok and min_eig > 0.0
         spec = fock_space.spectrum(fock_projection(1, lam=lam, dim=32))
         assert spec.min_eigenvalue < -1e-8

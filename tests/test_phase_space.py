@@ -15,7 +15,6 @@ from wigscale.phase_space import (
     GridSpec,
     apply_partial_scaling,
     apply_scaling,
-    apply_squeeze,
     density_to_wigner,
     eval_fock_wigner,
     overlap,
@@ -273,30 +272,31 @@ class TestScaling:
 
 
 class TestSqueeze:
+    """The exact squeeze W(kappa q, p / kappa), sampled from AnalyticWigner(n, 1, kappa)."""
+
     def test_identity(self):
-        w = fock_grid(1)
-        np.testing.assert_allclose(apply_squeeze(w, 1.0).values, w.values, atol=1e-12)
+        assert np.array_equal(sample_to_grid(AnalyticWigner(1, 1.0, 1.0)).values, fock_grid(1).values)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            apply_squeeze(fock_grid(0), 0.0)
+            AnalyticWigner(0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            apply_squeeze(fock_grid(0), -1.0)
+            AnalyticWigner(0, 1.0, -1.0)
 
     def test_variances_change_by_kappa_squared(self):
         # W(2q, p/2): q variance shrinks 4x to 1/8, p variance grows 4x to 2
-        w = fock_grid(0, points=1024)
-        m = moments.moments_from_grid(apply_squeeze(w, 2.0))
-        assert m.sigma_qq == pytest.approx(0.125, abs=1e-3)
-        assert m.sigma_pp == pytest.approx(2.0, abs=1e-3)
+        m = moments.moments_from_grid(fock_grid(0, kappa=2.0, extent=8.0, points=1024))
+        assert m.sigma_qq == pytest.approx(0.125, abs=1e-5)
+        assert m.sigma_pp == pytest.approx(2.0, abs=1e-5)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5])
     def test_composition_gives_partial_scaling(self, lam):
+        # the squeeze kappa = lam^-1/2 then the scaling sqrt(lam): exactly |lam| W_n(q, lam p)
         extent = {0.25: 24.0, 0.5: 16.0}[lam]
-        w = fock_grid(1, extent=extent, points=2048)
-        composed = apply_scaling(apply_squeeze(w, lam**-0.5), np.sqrt(lam))
-        direct = apply_partial_scaling(w, lam)
-        assert np.abs(composed.values - direct.values).max() < 2e-3
+        for n in range(4):
+            composed = fock_grid(n, np.sqrt(lam), lam**-0.5, extent=extent, points=2048)
+            direct = apply_partial_scaling(fock_grid(n, extent=extent, points=2048), lam)
+            assert np.abs(composed.values - direct.values).max() < 1e-3
 
 
 class TestPartialScaling:
