@@ -11,9 +11,23 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-4
 
 
+#: rows per block of the Hermiticity residual; a matrix of at most this many rows takes one pass
+_RESIDUAL_BLOCK = 64
+
+
 def hermiticity_residual(array: np.ndarray) -> float:
-    """max |M - M^dag| of a finite square array."""
-    return float(np.abs(array - array.conj().T).max())
+    """max |M - M^dag| of a finite square array.
+
+    |M - M^dag| is symmetric, so a large matrix is read in blocks of rows on and
+    above the diagonal, which bounds the temporaries to one block of rows and
+    returns the same value as the whole difference.
+    """
+    n = array.shape[0]
+    if n <= _RESIDUAL_BLOCK:
+        return float(np.abs(array - array.conj().T).max())
+    return float(max(np.abs(array[start:start + _RESIDUAL_BLOCK, start:]
+                            - array[start:, start:start + _RESIDUAL_BLOCK].conj().T).max()
+                     for start in range(0, n, _RESIDUAL_BLOCK)))
 
 
 def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:

@@ -33,12 +33,15 @@ __all__ = [
 #: default number of samples per axis for generated grids
 DEFAULT_POINTS = 512
 
-#: largest grid accepted; wigner_to_density, the larger transform, needs ~1.0 GB here
+#: largest grid accepted; wigner_to_density, the larger transform, needs ~0.8 GB here
 MAX_POINTS = 4096
 
 #: peak bytes per grid point of wigner_to_density: its buffers grow as n^2, and its
-#: tracemalloc peak at 1024 points is 60 MiB, i.e. 60 bytes for each of the 1024^2 points
-_TRANSFORM_BYTES_PER_POINT = 60
+#: tracemalloc peak at 1024 points is 48 MiB, i.e. 48 bytes for each of the 1024^2 points
+_TRANSFORM_BYTES_PER_POINT = 48
+
+#: columns per FFT block of the half-cell shift
+_SHIFT_COLUMNS = 64
 
 #: sampling rejects extents below this multiple of max(1, 1/|scale|)
 _MIN_EXTENT_FACTOR = 4.0
@@ -56,8 +59,8 @@ class GridSpec:
     points_per_axis: int = DEFAULT_POINTS
 
     def __post_init__(self):
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < np.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.points_per_axis < 16 or self.points_per_axis % 2:
             raise ValueError(
                 f"points_per_axis must be even and >= 16, got {self.points_per_axis}"
@@ -71,9 +74,14 @@ class GridSpec:
         return 2.0 * self.extent / self.points_per_axis
 
     def axis(self) -> np.ndarray:
-        """Cell-center coordinates shared by the q and p axes."""
-        h = self.step
-        return -self.extent + (np.arange(self.points_per_axis) + 0.5) * h
+        """Cell-center coordinates shared by the q and p axes.
+
+        Each is a half-integer cell index counted from the center times the step,
+        so x[n - 1 - k] == -x[k] holds exactly, and each lies within a few ulps
+        of -extent + (k + 1/2) * step.
+        """
+        n = self.points_per_axis
+        return (np.arange(n) - 0.5 * (n - 1)) * self.step
 
     @property
     def quadrature_weight(self) -> float:
@@ -207,8 +215,9 @@ def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
 def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridWigner:
     """Sample an analytic state at the cell centers of `spec`.
 
-    Rows index q and columns index p. The state is evaluated on the axis as a
-    column and a row, which :func:`eval_fock_wigner` broadcasts to the grid.
+    Rows index q and columns index p. The state is evaluated on the first half
+    of the axis as a column and a row, which :func:`eval_fock_wigner`
+    broadcasts to one quadrant, and mirrored into the other three.
 
     Args:
         state: analytic state description.
@@ -238,8 +247,17 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridW
             f"grid too small: extent {spec.extent:g} < required {required:g} "
             f"for scale {state.scale:g}"
         )
-    x = spec.axis()
-    return GridWigner(spec, eval_fock_wigner(state, x[:, None], x))
+    # W depends on q and p only through q^2 and p^2, and the axis is exactly antisymmetric,
+    # so one quadrant evaluated and mirrored equals the whole grid evaluated, bit for bit
+    half = spec.points_per_axis // 2
+    x = spec.axis()[:half]
+    quadrant = eval_fock_wigner(state, x[:, None], x)
+    values = np.empty((2 * half, 2 * half))
+    values[:half, :half] = quadrant
+    values[:half, half:] = quadrant[:, ::-1]
+    del quadrant  # freed before GridWigner's validated copy
+    values[half:] = values[half - 1::-1]
+    return GridWigner(spec, values)
 
 
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -309,18 +327,41 @@ def overlap(a: GridWigner, b: GridWigner) -> float:
     return float((a.values * b.values).sum() * a.spec.quadrature_weight)
 
 
-def _midpoint_resample(values: np.ndarray) -> np.ndarray:
-    """FFT-upsample rows by 2x so that all pairwise q-midpoints become samples.
+def _half_cell_shift(values: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolation of the rows half a cell up: row i of the result sits at x_i + h/2.
 
-    Row m of the result sits at coordinate origin + (m + 1) * h/2 where
-    origin = -extent + h/2; the midpoint of cells i and j is row i + j.
-    Trigonometric interpolation is spectrally accurate here because the
-    sampled functions decay to ~0 well inside the extent.
+    Returns the n - 1 rows i in [0, n - 1), the midpoints of neighbouring rows.
+    The shift multiplies the length-n spectrum of each column by e^{i pi k / n}; at
+    the Nyquist bin it makes that bin imaginary, which irfft drops, so the Nyquist
+    component reads cos(pi (i + 1/2)) = 0 there as in an even split between +-n/2.
+    Trigonometric interpolation is spectrally accurate here because the sampled
+    functions decay to ~0 well inside the extent. Blocks of contiguous columns keep
+    each FFT's buffers small.
     """
-    n = values.shape[0]
-    spectrum = np.fft.rfft(values, axis=0)
-    spectrum[n // 2] *= 0.5  # the Nyquist bin splits evenly between +/- n/2
-    return 2.0 * np.fft.irfft(spectrum, 2 * n, axis=0)
+    n, cols = values.shape
+    phase = np.exp(1j * np.pi / n * np.arange(n // 2 + 1))[:, None]
+    out = np.empty((n - 1, cols))
+    for start in range(0, cols, _SHIFT_COLUMNS):
+        block = slice(start, start + _SHIFT_COLUMNS)
+        spectrum = np.fft.rfft(values[:, block], axis=0)
+        spectrum *= phase
+        out[:, block] = np.fft.irfft(spectrum, n, axis=0)[: n - 1]
+    return out
+
+
+def _parity_table(func, x: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """func(np.outer(x, freqs)) for func np.cos or np.sin and an exactly antisymmetric axis x.
+
+    Evaluated on the first half of the rows and mirrored: the phases of row
+    n - 1 - k are exactly those of row k negated, and numpy's cos is exactly even
+    and its sin exactly odd, so the table equals the one evaluated in full, bit
+    for bit.
+    """
+    half = len(x) // 2
+    table = np.empty((len(x), len(freqs)))
+    func(np.outer(x[:half], freqs), out=table[:half])
+    np.multiply(table[half - 1::-1], -1.0 if func is np.sin else 1.0, out=table[half:])
+    return table
 
 
 def wigner_to_density(w: GridWigner) -> PositionDensity:
@@ -330,7 +371,9 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     by midpoint quadrature over the grid's p axis, for x, x' on the q axis.
     rho[i, j] reads the p-integral G[s, d] only at s = i + j and d = |i - j|,
     which share their parity, so each parity is one pair of real cos/sin
-    products; the other half of the table is never computed. W is real, so
+    products; the other half of the table is never computed. The midpoint
+    (x_i + x_j)/2 is the grid row (i + j)/2 for even s and half a cell above
+    row (i + j - 1)/2 for odd s (:func:`_half_cell_shift`). W is real, so
     G[s, -d] = conj(G[s, d]): rho is filled from the lower triangle by a
     strided view and mirrored, exactly Hermitian with an exactly real diagonal.
 
@@ -341,16 +384,16 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     n = w.spec.points_per_axis
     h = w.spec.step
     x = w.spec.axis()
-    mids = _midpoint_resample(np.asarray(w.values))[: 2 * n - 1]
     # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k d h}, s = i + j, d = i - j >= 0;
     # zeroed, so the entries of the other parity that the views below read are 0
     re = np.zeros((2 * n - 1, n))
     im = np.zeros((2 * n - 1, n))
     for par in (0, 1):
-        phase = np.outer(x, np.arange(par, n, 2) * h)
-        re[par::2, par::2] = mids[par::2] @ np.cos(phase)
-        im[par::2, par::2] = mids[par::2] @ np.sin(phase)
-    del mids, phase
+        rows = _half_cell_shift(w.values) if par else w.values
+        freqs = np.arange(par, n, 2) * h
+        re[par::2, par::2] = rows @ _parity_table(np.cos, x, freqs)
+        im[par::2, par::2] = rows @ _parity_table(np.sin, x, freqs)
+    del rows
     re *= h / (2.0 * np.pi)
     im *= h / (2.0 * np.pi)
     # view[i, j] = G[i + j, i - j] at flat index i (n + 1) + j (n - 1); above the diagonal it
@@ -374,17 +417,43 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     the grid step). Anti-diagonal t of row m stays on the grid only while
     t <= min(m, n - 1 - m) < n/2, so only t in [0, n/2) is gathered; rho is
     Hermitian, so anti-diagonal -t is the conjugate of t and each t >= 1
-    counts twice. Round-tripping :func:`wigner_to_density` reproduces the
+    counts twice. The p axis is exactly antisymmetric, so the products run
+    over its positive half: at -p the cos term is the same and the sin term
+    changes sign. Round-tripping :func:`wigner_to_density` reproduces the
     input to near machine precision on the interior of the grid.
     """
     n = rho.spec.points_per_axis
+    half = n // 2
     h = rho.spec.step
     x = rho.spec.axis()
-    t = np.arange(n // 2)
-    # diagonals[m, t] = rho[m + t, m - t], read from a zero ring where that leaves the grid
+    t = np.arange(half)
     m = np.arange(n)[:, None]
-    diagonals = np.pad(rho.values, 1)[np.minimum(m + t, n) + 1, np.maximum(m - t, -1) + 1]
-    diagonals[:, 1:] *= 2.0
-    phase = np.outer(2.0 * h * t, x)
-    w = 2.0 * h * (diagonals.real @ np.cos(phase) + diagonals.imag @ np.sin(phase))
+    # diagonals[m, t] = rho[m + t, m - t] at flat index m (n + 1) + t (n - 1), gathered as the
+    # real and imaginary halves of the complex pairs; off the grid the index is replaced by 0
+    # and the weight zeroes the entry, and weight 2 counts anti-diagonal -t
+    inside = t <= np.minimum(m, n - 1 - m)
+    flat = m * (n + 1) + t * (n - 1)
+    flat *= inside
+    flat *= 2
+    pairs = rho.values.view(float).ravel()
+    diag_re = pairs.take(flat)
+    flat += 1
+    diag_im = pairs.take(flat)
+    del flat
+    weight = np.multiply(inside, 2.0)
+    del inside
+    weight[:, 0] = 1.0
+    diag_re *= weight
+    diag_im *= weight
+    del weight
+    # the positive half of the p axis: the last columns of a product, which BLAS rounds in a
+    # kernel of its own, then sit at the grid's edges, where W is ~0, as in a full-width product
+    phase = np.outer(2.0 * h * t, x[half:])
+    cos_part = diag_re @ np.cos(phase)
+    sin_part = diag_im @ np.sin(phase)
+    w = np.empty((n, n))
+    np.add(cos_part, sin_part, out=w[:, half:])
+    np.subtract(cos_part, sin_part, out=w[:, half - 1::-1])
+    np.multiply(w, 2.0 * h, out=w)
+    del diag_re, diag_im, cos_part, sin_part  # released before GridWigner's validated copy
     return GridWigner(rho.spec, w)

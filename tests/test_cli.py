@@ -121,6 +121,13 @@ class TestUncertainty:
         assert float(row["sigma_qq"]) == pytest.approx(1.5 / kappa**2, rel=1e-9)
         assert float(row["sigma_pp"]) == pytest.approx(1.5 * kappa**2, rel=1e-9)
 
+    @pytest.mark.parametrize("option", [("--kappa", "1e308"), ("--lambda", "1e-308")])
+    def test_overflowing_default_extent_rejected(self, capsys, option):
+        # the default extent 8 max(1, 1/|lambda|) max(kappa, 1/kappa) overflows to inf
+        code, out, err = run(capsys, "uncertainty", "--state", "fock1", *option)
+        assert code == 2 and out == ""
+        assert err == "error: extent must be positive and finite, got inf\n"
+
     def test_unknown_state_rejected(self, capsys):
         code, _, err = run(capsys, "uncertainty", "--state", "bell")
         assert code == 2

@@ -50,7 +50,9 @@ def complex_kernel_density_to_wigner(rho):
 def full_table_wigner_to_density(w):
     """Reference: the real kernels over the whole table, every s in [0, 2n - 1) and d in [0, n)."""
     n, h, x = w.spec.points_per_axis, w.spec.step, w.spec.axis()
-    mids = resample(w.values, 2 * n, axis=0)[: 2 * n - 1]
+    mids = np.empty((2 * n - 1, n))
+    mids[::2] = w.values
+    mids[1::2] = phase_space._half_cell_shift(w.values)
     phase = np.outer(x, np.arange(n) * h)
     re = (mids @ np.cos(phase)) * (h / (2.0 * np.pi))
     im = (mids @ np.sin(phase)) * (h / (2.0 * np.pi))
@@ -115,12 +117,27 @@ class TestTypes:
             GridSpec(8.0, 8)
         with pytest.raises(ValueError):
             GridSpec(8.0, 33)
+        for extent in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(ValueError, match="extent must be positive and finite"):
+                GridSpec(extent, 16)
 
     def test_grid_axis_is_cell_centered(self):
         spec = GridSpec(8.0, 16)
         x = spec.axis()
         assert x[0] == -8.0 + spec.step / 2
         assert np.allclose(x + x[::-1], 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(half_points=st.integers(8, 2048), extent=st.floats(1e-3, 1e6))
+    def test_grid_axis_is_exactly_antisymmetric(self, half_points, extent):
+        # the cell centers -extent + (k + 1/2) h round twice (<= 1.5 ulps of extent), the new
+        # form once (<= 0.5), and their exact values differ by |n h / 2 - extent| <= 1 ulp;
+        # 3000 seeded draws over these ranges reached 2.0 ulps
+        spec = GridSpec(extent, 2 * half_points)
+        x = spec.axis()
+        assert np.array_equal(x[::-1], -x)
+        centers = -extent + (np.arange(2 * half_points) + 0.5) * spec.step
+        assert np.abs(x - centers).max() <= 3 * np.spacing(extent)
 
     def test_analytic_state_validation(self):
         with pytest.raises(ValueError):
@@ -203,8 +220,12 @@ class TestSampling:
         # extents from the smallest accepted up to 40, where exp underflows to exact zeros
         required = 4.0 * max(1.0, 1.0 / abs(lam))
         spec = GridSpec(required + reach * (40.0 - required), 2 * half_points)
-        got = sample_to_grid(AnalyticWigner(n, lam, kappa), spec).values
-        assert np.array_equal(got.view(np.int64), mesh_fock_wigner(AnalyticWigner(n, lam, kappa), spec).view(np.int64))
+        state = AnalyticWigner(n, lam, kappa)
+        got = sample_to_grid(state, spec).values.view(np.int64)
+        assert np.array_equal(got, mesh_fock_wigner(state, spec).view(np.int64))
+        # the mirrored quadrant is the whole grid evaluated on the axis
+        x = spec.axis()
+        assert np.array_equal(got, eval_fock_wigner(state, x[:, None], x).view(np.int64))
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_eval_returns_a_scalar_or_the_broadcast_shape(self, n):
@@ -217,8 +238,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("n,grids", [(0, 2), (1, 2), (2, 5), (5, 5)])
     def test_peak_memory_at_1024_points(self, n, grids):
-        # two buffers for the closed forms and three more for the Laguerre recurrence, freed
-        # before GridWigner's validated copy; the allowance covers the axis-length vectors
+        # two quadrant buffers for the closed forms and three more for the Laguerre recurrence,
+        # freed before GridWigner's validated copy of the mirrored grid (2 grids measured for
+        # every n); the allowance covers the axis-length vectors
         spec = GridSpec(8.0, 1024)
         grid_bytes = 8 * 1024**2
         tracemalloc.start()
@@ -384,9 +406,31 @@ class TestOverlap:
 
 class TestRealKernels:
     @pytest.mark.parametrize("n", [16, 256, 512, 1024])
-    def test_midpoint_resample_is_scipy_resample(self, n):
+    def test_half_cell_shift_is_scipy_resample(self, n):
+        # the odd rows of scipy's 2x upsample, within twice scipy's own round-off on its even
+        # rows (whose exact values are the input): the ratio measured 0.88-1.25 for these n,
+        # and the difference at most 1.8e-15 at n = 1024
         values = np.random.default_rng(n).standard_normal((n, n))
-        assert np.array_equal(phase_space._midpoint_resample(values), resample(values, 2 * n, axis=0))
+        upsampled = resample(values, 2 * n, axis=0)
+        even_rows_error = np.abs(upsampled[::2] - values).max()
+        shifted = phase_space._half_cell_shift(values)
+        assert shifted.shape == (n - 1, n)
+        assert np.abs(shifted - upsampled[1 : 2 * n - 1 : 2]).max() <= 2 * even_rows_error
+
+    @pytest.mark.parametrize("points,extent", [(16, 8.0), (18, 1e-3), (250, 40.0), (1024, 16.0), (512, 1e6)])
+    def test_parity_tables_equal_the_full_evaluation(self, points, extent):
+        # the transforms evaluate cos and sin on half the axis and mirror them, which needs
+        # numpy's cos to be exactly even and its sin exactly odd: a libm without that fails here
+        spec = GridSpec(extent, points)
+        h, x = spec.step, spec.axis()
+        t = np.arange(points // 2)
+        # the frequencies of wigner_to_density's two parities and of density_to_wigner
+        for freqs in (np.arange(0, points, 2) * h, np.arange(1, points, 2) * h, 2.0 * h * t):
+            for func in (np.cos, np.sin):
+                table = phase_space._parity_table(func, x, freqs)
+                assert np.array_equal(table.view(np.int64), func(np.outer(x, freqs)).view(np.int64))
+        # density_to_wigner takes its phases as np.outer(2 h t, x), the transpose: also exact
+        assert np.array_equal(np.outer(2.0 * h * t, x), np.outer(x, 2.0 * h * t).T)
 
     @pytest.mark.parametrize("points", [64, 256, 512])
     @pytest.mark.parametrize("n", range(6))

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import fock_grid
 from wigscale import fock_space, gaussian_cv, moments, phase_space
-from wigscale._validated import HERMITICITY_TOL
+from wigscale._validated import HERMITICITY_TOL, hermiticity_residual
 from wigscale.phase_space import AnalyticWigner, GridSpec, _diagonal_map
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -263,6 +263,39 @@ def test_residual_above_tolerance_rejected(kind, data):
     values[i, j] += 1j * skew if i == j else skew
     with pytest.raises(ValueError, match="Hermitian|symmetric"):
         make(values)
+
+
+@SETTINGS
+@given(
+    size=st.sampled_from([63, 64, 65, 127, 128, 129, 300]) | st.integers(1, 300),
+    complex_valued=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_blocked_residual_is_the_whole_difference(size, complex_valued, seed, data):
+    # above one block the residual is read in row blocks on and above the diagonal; it must
+    # return the whole difference's maximum exactly, and one entry off, above or below the
+    # diagonal, must still be refused by the constructors
+    if not complex_valued:
+        size += size % 2  # covariance matrices have even size
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((size, size))
+    if complex_valued:
+        x = x + 1j * rng.standard_normal((size, size))
+    assert hermiticity_residual(x) == np.abs(x - x.conj().T).max()
+    values = x + x.conj().T
+    i = data.draw(st.integers(0, size - 1))
+    j = data.draw(st.integers(0, size - 1).filter(lambda j: j != i or complex_valued))
+    values[i, j] += 1e-9j if i == j else 1e-9
+    residual = hermiticity_residual(values)
+    assert residual == np.abs(values - values.conj().T).max() > HERMITICITY_TOL
+    if complex_valued:
+        make, message = (lambda v: moments.HermitianMatrix(size, v)), "matrix not Hermitian: max |M - M^dag|"
+    else:
+        make, message = (lambda v: gaussian_cv.CovarianceMatrix(size // 2, v)), "covariance matrix not symmetric: max |M - M^T|"
+    with pytest.raises(ValueError) as refused:
+        make(values)
+    assert str(refused.value) == f"{message} = {residual:.3e}"
 
 
 class TestToleranceRegressions:
