@@ -33,7 +33,10 @@ def hermiticity_residual(array: np.ndarray) -> float:
 def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:
     """Check field `attr` of frozen dataclass `obj` and replace it by a read-only, C-contiguous array.
 
-    With `hermitian`, stores the exact Hermitian (real: symmetric) part.
+    With `hermitian`, stores the exact Hermitian (real: symmetric) part. Any
+    other array is copied, unless it is read-only, C-contiguous and owns its
+    memory, as the arrays that wigscale allocates and freezes are: then no view
+    can write to it, and it is stored as it is.
 
     Raises:
         ValueError: on a shape other than `shape`, a non-finite entry, or,
@@ -51,7 +54,9 @@ def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: b
     if residual:
         out = np.add(array, array.conj().T, order="C")
         out *= 0.5
-    else:  # exactly Hermitian already, or not required to be
-        out = np.array(array, order="C")
+    elif array.flags.writeable or not (array.flags.owndata and array.flags.c_contiguous):
+        out = np.array(array, order="C")  # exactly Hermitian already, or not required to be
+    else:
+        out = array
     out.setflags(write=False)
     object.__setattr__(obj, attr, out)

@@ -228,8 +228,9 @@ def _run_separability(args) -> str:
         "tolerance": report.tol,
         "scaled_modes": ",".join(str(m) for m in sorted(modes)),
     }
+    violations, outside = set(report.violations), set(report.outside_criterion)
     rows = [
-        [lam, low, lam in report.violations, lam not in report.outside_criterion]
+        [lam, low, lam in violations, lam not in outside]
         for lam, low in zip(report.lam_grid, report.min_eigenvalues)
     ]
     columns = ["lambda", "min_eigenvalue", "violation", "within_criterion"]

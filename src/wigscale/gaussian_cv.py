@@ -21,6 +21,7 @@ from ._validated import store_validated
 __all__ = [
     "CovarianceMatrix",
     "SeparabilityReport",
+    "ScaleOverflowError",
     "vacuum",
     "two_mode_squeezed",
     "squeeze_symplectic",
@@ -75,6 +76,33 @@ class SeparabilityReport:
         expected = "entanglement_detected" if self.violations else "no_violation"
         if self.verdict != expected:
             raise ValueError(f"verdict {self.verdict!r} inconsistent with violations")
+
+
+class ScaleOverflowError(ValueError, ArithmeticError):
+    """A scaling parameter so close to 0 that the scaled covariance matrix overflows.
+
+    A ValueError, since the input is at fault, and an ArithmeticError, like
+    numpy's own overflow errors.
+    """
+
+
+def _refuse_overflowing_scale(cov: CovarianceMatrix, modes: list[int], lam_values: list[float]) -> None:
+    """Raise ScaleOverflowError, naming lambda, if the scan would scale an entry past the float range.
+
+    Scaling the momenta of `modes` by 1/lambda turns each entry into (d_i Sigma_ij) d_j
+    with |d| >= 1 for |lambda| <= 1, the same floats however the modes are applied in
+    turn. Rounding is monotone, so if the smallest |lambda| stays finite every other
+    does; it is checked with numpy's overflow warnings off.
+    """
+    lam = min(lam_values, key=abs)
+    if abs(lam) >= 1.0:
+        return
+    diag = np.ones(2 * cov.modes)
+    diag[[cov.modes + mode - 1 for mode in modes]] = 1.0 / lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = diag[:, None] * cov.matrix * diag[None, :]
+    if not np.isfinite(scaled).all():
+        raise ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix")
 
 
 def vacuum(modes: int) -> CovarianceMatrix:
@@ -183,6 +211,8 @@ def separability_scan(
     Raises:
         ValueError: invalid input state, empty grid, zero lambda, bad mode
             indices, or a negative tolerance.
+        ScaleOverflowError: a lambda so close to 0 that the scaled
+            covariance overflows; checked before any eigenvalue is computed.
     """
     if not tol >= 0.0:  # a negative tolerance would flag every state, the vacuum included
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
@@ -196,6 +226,7 @@ def separability_scan(
         raise ValueError("mode partition must not be empty")
     for mode in modes:
         _check_mode(cov, mode)
+    _refuse_overflowing_scale(cov, modes, lam_values)
     ok, min_eig = is_valid_state(cov)
     if not ok:
         raise ValueError(

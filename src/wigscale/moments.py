@@ -70,17 +70,23 @@ def moments_from_grid(w: GridWigner) -> SecondMoments:
         ValueError: for unnormalized input.
     """
     w.require_normalized()
-    # the axis as a column (q) and a row (p); W q and W p are formed once and reused, since
-    # (W q) q is W * Q * Q over the meshes: each sum adds the same floats in the same order
+    # the axis as a column (q) and a row (p); W q and W p are each formed once and reused, since
+    # (W q) q is W * Q * Q over the meshes: each sum adds the same floats in the same order.
+    # Two grid buffers take the five products in turn, W p overwriting W q once it is used
     x = w.spec.axis()
     q, p = x[:, None], x
-    wq, wp = w.values * q, w.values * p
     weight = w.spec.quadrature_weight
-    mean_q = float(wq.sum() * weight)
-    mean_p = float(wp.sum() * weight)
-    sigma_qq = float((wq * q).sum() * weight) - mean_q**2
-    sigma_pp = float((wp * p).sum() * weight) - mean_p**2
-    sigma_qp = float((wq * p).sum() * weight) - mean_q * mean_p
+    first = np.multiply(w.values, q)
+    second = np.multiply(first, q)
+    mean_q = float(first.sum() * weight)
+    sigma_qq = float(second.sum() * weight) - mean_q**2
+    np.multiply(first, p, out=second)
+    qp = float(second.sum() * weight)
+    np.multiply(w.values, p, out=first)
+    mean_p = float(first.sum() * weight)
+    np.multiply(first, p, out=second)
+    sigma_pp = float(second.sum() * weight) - mean_p**2
+    sigma_qp = qp - mean_q * mean_p
     return SecondMoments(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp)
 
 

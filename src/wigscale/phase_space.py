@@ -33,12 +33,13 @@ __all__ = [
 #: default number of samples per axis for generated grids
 DEFAULT_POINTS = 512
 
-#: largest grid accepted; wigner_to_density, the larger transform, needs ~0.8 GB here
+#: largest grid accepted; a round trip through the two transforms needs ~0.54 GB here
 MAX_POINTS = 4096
 
-#: peak bytes per grid point of wigner_to_density: its buffers grow as n^2, and its
-#: tracemalloc peak at 1024 points is 48 MiB, i.e. 48 bytes for each of the 1024^2 points
-_TRANSFORM_BYTES_PER_POINT = 48
+#: peak bytes per grid point of density_to_wigner(wigner_to_density(w)): the buffers grow as
+#: n^2, and the tracemalloc peak at 512 points is 32.3 bytes for each of the 512^2 points
+#: (wigner_to_density alone peaks at 24, and density_to_wigner at 16 beside rho's 16)
+_TRANSFORM_BYTES_PER_POINT = 32
 
 #: columns per FFT block of the half-cell shift
 _SHIFT_COLUMNS = 64
@@ -66,8 +67,8 @@ class GridSpec:
                 f"points_per_axis must be even and >= 16, got {self.points_per_axis}"
             )
         if (n := self.points_per_axis) > MAX_POINTS:
-            raise ValueError(f"points_per_axis {n} exceeds the limit {MAX_POINTS}: the Wigner-to-density "
-                             f"transform alone would need {1e-9 * _TRANSFORM_BYTES_PER_POINT * n * n:.3g} GB")
+            raise ValueError(f"points_per_axis {n} exceeds the limit {MAX_POINTS}: a round trip "
+                             f"through the transforms would need {1e-9 * _TRANSFORM_BYTES_PER_POINT * n * n:.3g} GB")
 
     @property
     def step(self) -> float:
@@ -255,9 +256,15 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridW
     values = np.empty((2 * half, 2 * half))
     values[:half, :half] = quadrant
     values[:half, half:] = quadrant[:, ::-1]
-    del quadrant  # freed before GridWigner's validated copy
+    del quadrant
     values[half:] = values[half - 1::-1]
-    return GridWigner(spec, values)
+    return GridWigner(spec, _frozen(values))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Make a freshly allocated array read-only, so the validated type stores it without a copy."""
+    array.setflags(write=False)
+    return array
 
 
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -303,7 +310,9 @@ def _diagonal_map(w: GridWigner, a: float, b: float) -> GridWigner:
         raise ValueError(f"map parameters must be finite with a nonzero product, got a = {a}, b = {b}")
     center = 0.5 * (w.spec.points_per_axis - 1)
     k = np.arange(w.spec.points_per_axis) - center
-    return GridWigner(w.spec, det * _interpolate(w, a * k[:, None] + center, b * k + center))
+    values = _interpolate(w, a * k[:, None] + center, b * k + center)
+    values *= det
+    return GridWigner(w.spec, _frozen(values))
 
 
 def apply_scaling(w: GridWigner, lam: float) -> GridWigner:
@@ -364,6 +373,36 @@ def _parity_table(func, x: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return table
 
 
+def _scaled_product(rows: np.ndarray, func, x: np.ndarray, freqs: np.ndarray, scale: float) -> np.ndarray:
+    """(rows @ func(np.outer(x, freqs))) * scale, scaled in place."""
+    product = rows @ _parity_table(func, x, freqs)
+    product *= scale
+    return product
+
+
+def _fill_offsets(part: np.ndarray, g: np.ndarray, par: int, antisymmetric: bool) -> None:
+    """Write the p-integrals of one parity along rho's diagonals, in both triangles.
+
+    `part` is the flat real or imaginary part of the n x n matrix rho, and
+    g[r, c] = G[2r + par, 2c + par]. Column c holds offset d = 2c + par, whose
+    entries rho[j + d, j] = G[2j + d, d] are rows j + c of g: all of
+    sub-diagonal d. Super-diagonal d gets the same values (real part) or
+    0.0 - x (imaginary part, so a zero reads +0.0 above the diagonal). For
+    d = 0 that second write lands on the diagonal itself, where the imaginary
+    part is then exactly 0.
+    """
+    n = g.shape[1] * 2
+    for c in range(g.shape[1]):
+        d = 2 * c + par
+        column = g[c:n - c - par, c]
+        part[d * n::n + 1] = column
+        upper = part[d:n * (n - d):n + 1]
+        if antisymmetric:
+            np.subtract(0.0, column, out=upper)
+        else:
+            upper[...] = column
+
+
 def wigner_to_density(w: GridWigner) -> PositionDensity:
     """Invert the grid to the position-representation density matrix.
 
@@ -374,8 +413,9 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     products; the other half of the table is never computed. The midpoint
     (x_i + x_j)/2 is the grid row (i + j)/2 for even s and half a cell above
     row (i + j - 1)/2 for odd s (:func:`_half_cell_shift`). W is real, so
-    G[s, -d] = conj(G[s, d]): rho is filled from the lower triangle by a
-    strided view and mirrored, exactly Hermitian with an exactly real diagonal.
+    G[s, -d] = conj(G[s, d]): each product is written along rho's diagonals,
+    its conjugate above the diagonal (:func:`_fill_offsets`), so rho is exactly
+    Hermitian with an exactly real diagonal.
 
     Raises:
         ValueError: if the input norm deviates from 1 by more than NORM_TOL.
@@ -384,29 +424,23 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     n = w.spec.points_per_axis
     h = w.spec.step
     x = w.spec.axis()
+    scale = h / (2.0 * np.pi)
     # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k d h}, s = i + j, d = i - j >= 0;
-    # zeroed, so the entries of the other parity that the views below read are 0
-    re = np.zeros((2 * n - 1, n))
-    im = np.zeros((2 * n - 1, n))
-    for par in (0, 1):
-        rows = _half_cell_shift(w.values) if par else w.values
-        freqs = np.arange(par, n, 2) * h
-        re[par::2, par::2] = rows @ _parity_table(np.cos, x, freqs)
-        im[par::2, par::2] = rows @ _parity_table(np.sin, x, freqs)
-    del rows
-    re *= h / (2.0 * np.pi)
-    im *= h / (2.0 * np.pi)
-    # view[i, j] = G[i + j, i - j] at flat index i (n + 1) + j (n - 1); above the diagonal it
-    # reads an entry of the other parity (n is even), so the view is lower triangular
-    step = re.itemsize
-    lower_re, lower_im = (np.lib.stride_tricks.as_strided(g, (n, n), ((n + 1) * step, (n - 1) * step))
-                          for g in (re, im))
+    # the odd parity first, so its half-cell-shifted rows are freed before rho exists
+    shifted = _half_cell_shift(w.values)
+    odd_freqs = np.arange(1, n, 2) * h
+    odd = [_scaled_product(shifted, func, x, odd_freqs, scale) for func in (np.cos, np.sin)]
+    del shifted
     rho = np.empty((n, n), dtype=complex)
-    np.add(lower_re, lower_re.T, out=rho.real)  # real part symmetric
-    np.fill_diagonal(rho.real, re[::2, 0])  # the sum counted the diagonal twice
-    np.subtract(lower_im, lower_im.T, out=rho.imag)  # imaginary part antisymmetric, diagonal 0
-    del re, im, lower_re, lower_im  # release the transform buffers before validation copies rho
-    return PositionDensity(w.spec, rho)
+    flat = rho.reshape(-1)
+    _fill_offsets(flat.real, odd[0], 1, antisymmetric=False)
+    _fill_offsets(flat.imag, odd[1], 1, antisymmetric=True)
+    del odd
+    # the even parity one product at a time, each freed once written
+    even_freqs = np.arange(0, n, 2) * h
+    _fill_offsets(flat.real, _scaled_product(w.values, np.cos, x, even_freqs, scale), 0, antisymmetric=False)
+    _fill_offsets(flat.imag, _scaled_product(w.values, np.sin, x, even_freqs, scale), 0, antisymmetric=True)
+    return PositionDensity(w.spec, _frozen(rho))
 
 
 def density_to_wigner(rho: PositionDensity) -> GridWigner:
@@ -450,10 +484,12 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     # kernel of its own, then sit at the grid's edges, where W is ~0, as in a full-width product
     phase = np.outer(2.0 * h * t, x[half:])
     cos_part = diag_re @ np.cos(phase)
+    del diag_re  # each gathered half is freed once its product exists
     sin_part = diag_im @ np.sin(phase)
+    del diag_im, phase
     w = np.empty((n, n))
     np.add(cos_part, sin_part, out=w[:, half:])
     np.subtract(cos_part, sin_part, out=w[:, half - 1::-1])
+    del cos_part, sin_part
     np.multiply(w, 2.0 * h, out=w)
-    del diag_re, diag_im, cos_part, sin_part  # released before GridWigner's validated copy
-    return GridWigner(rho.spec, w)
+    return GridWigner(rho.spec, _frozen(w))

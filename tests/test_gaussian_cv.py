@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import warnings
+
 from conftest import product_sigma, random_single_mode_sigma
 from wigscale import moments, phase_space
 from wigscale.gaussian_cv import (
     CovarianceMatrix,
+    ScaleOverflowError,
     default_lambda_grid,
     interleaved_to_block,
     is_valid_state,
@@ -169,6 +172,28 @@ class TestSeparabilityScan:
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             separability_scan(vacuum(2), {2}, [0.0, 1.0])
+
+    @pytest.mark.parametrize("modes,grid,named", [({1}, [1e-160, 1.0], "1e-160"),
+                                                  ({1, 2}, [0.5, -1e-155, 1e-150], "-1e-155"),
+                                                  ({2}, [-1.0, 5e-324], "5e-324")])
+    def test_overflowing_lambda_named_before_eigen_work(self, monkeypatch, modes, grid, named):
+        def no_eigenvalues(matrix):
+            raise AssertionError("eigenvalues computed before the overflow was refused")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"scaling parameter {named} overflows") as refused:
+                separability_scan(two_mode_squeezed(1.0), modes, grid)
+        # also an ArithmeticError, so the CLI names the options behind it as for numpy's overflows
+        assert isinstance(refused.value, ArithmeticError) and isinstance(refused.value, ScaleOverflowError)
+
+    def test_smallest_finite_scaling_scanned_without_warning(self):
+        # 1/lambda^2 = 1e300 keeps every scaled entry of TMSV r = 1 finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = separability_scan(two_mode_squeezed(1.0), {1, 2}, [1e-150, 1.0])
+        assert np.isfinite(report.min_eigenvalues).all()
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):

@@ -250,6 +250,28 @@ class TestValidatedTypes:
         with pytest.raises(ValueError):
             stored[0, 0] = 1.0
 
+    @SETTINGS
+    @given(data=st.data())
+    def test_callers_array_copied(self, kind, data):
+        # a writable array, or a read-only view of one: the caller can still change either
+        make, size, complex_valued, _ = TYPES[kind]
+        values = hermitian(data, size, complex_valued).astype(complex if complex_valued else float)
+        given_array = values
+        if data.draw(st.booleans()):
+            given_array = values.view()
+            given_array.setflags(write=False)
+        stored = next(v for v in vars(make(given_array)).values() if isinstance(v, np.ndarray))
+        before = stored.copy()
+        values += 1.0
+        assert np.array_equal(stored, before)
+
+    def test_frozen_array_that_owns_its_memory_stored_as_is(self, kind):
+        make, size, complex_valued, _ = TYPES[kind]
+        values = np.eye(size, dtype=complex if complex_valued else float)
+        values.setflags(write=False)
+        stored = next(v for v in vars(make(values)).values() if isinstance(v, np.ndarray))
+        assert stored is values
+
 
 @pytest.mark.parametrize("kind", [kind for kind, spec in TYPES.items() if spec[3]])
 @SETTINGS
