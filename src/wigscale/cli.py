@@ -114,13 +114,16 @@ def _run_fidelity(args) -> str:
     for lam in np.linspace(args.lam_min, args.lam_max, args.steps):
         state = phase_space.AnalyticWigner(1, lam)
         spec = _make_grid(args, state)
-        ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
-        scaled = phase_space.sample_to_grid(state, spec)
+        # checked before sampling: the required extent and the step shrink as lambda grows,
+        # so a refused run stops at the first lambda, and the ground state needs no more extent
+        phase_space.require_grid_fits(state, spec)
         if spec.step > MAX_FIDELITY_H:
             raise ValueError(
                 f"grid step {spec.step:.3g} at lambda {lam:g} exceeds {MAX_FIDELITY_H}, which under-resolves "
                 f"the ground state; use --grid {math.ceil(2.0 * spec.extent / MAX_FIDELITY_H)} or more"
             )
+        ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
+        scaled = phase_space.sample_to_grid(state, spec)
         quad = phase_space.overlap(ground, scaled)
         rows.append([lam, quad, _closed_form_fidelity(lam), -2.0 * lam**2])
     columns = ["lambda", "overlap_quadrature", "overlap_closed_form", "small_lambda_leading_term"]

@@ -11,6 +11,7 @@ inconclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,10 +147,15 @@ def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float)
     acting on one mode that is this congruence with D = A^-1.
     """
     idx = _check_mode(cov, mode)
+    q, p = idx, cov.modes + idx
     diag = np.ones(2 * cov.modes)
-    diag[idx] = dq
-    diag[cov.modes + idx] = dp
-    return CovarianceMatrix(cov.modes, diag[:, None] * cov.matrix * diag[None, :])
+    diag[q] = dq
+    diag[p] = dp
+    scaled = diag[:, None] * cov.matrix * diag[None, :]
+    # (d_i S_ij) d_j and (d_j S_ji) d_i round apart only where both factors differ from 1,
+    # off the diagonal that is the mode's q-p pair alone: mirror it, so D S D is exactly symmetric
+    scaled[p, q] = scaled[q, p]
+    return CovarianceMatrix(cov.modes, scaled)
 
 
 def squeeze_symplectic(cov: CovarianceMatrix, mode: int, kappa: float) -> CovarianceMatrix:
@@ -176,9 +182,9 @@ def partial_scale(cov: CovarianceMatrix, mode: int, lam: float) -> CovarianceMat
     return _diagonal_congruence(cov, mode, 1.0, 1.0 / lam)
 
 
-def is_valid_state(cov: CovarianceMatrix, tol: float = moments.PSD_TOL) -> tuple[bool, float]:
+def is_valid_state(cov: CovarianceMatrix) -> tuple[bool, float]:
     """Whether Sigma + iJ/2 >= 0, plus its minimum eigenvalue."""
-    return moments.is_psd(moments.multimode_uncertainty_matrix(cov), tol)
+    return moments.is_psd(moments.multimode_uncertainty_matrix(cov))
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -205,12 +211,12 @@ def separability_scan(
         cov: covariance of a valid state (invalid input is an error, not
             "entangled").
         mode_partition: nonempty set of 1-based mode indices to scale.
-        lam_grid: iterable of nonzero scaling parameters.
+        lam_grid: iterable of finite, nonzero scaling parameters.
         tol: relative tolerance of the :func:`moments.is_psd` test at each point.
 
     Raises:
-        ValueError: invalid input state, empty grid, zero lambda, bad mode
-            indices, or a negative tolerance.
+        ValueError: invalid input state, empty grid, zero or non-finite
+            lambda, bad mode indices, or a negative tolerance.
         ScaleOverflowError: a lambda so close to 0 that the scaled
             covariance overflows; checked before any eigenvalue is computed.
     """
@@ -221,6 +227,9 @@ def separability_scan(
         raise ValueError("lambda grid must not be empty")
     if any(lam == 0.0 for lam in lam_values):
         raise ValueError("scaling parameters must be nonzero")
+    for lam in lam_values:
+        if not math.isfinite(lam):
+            raise ValueError(f"scaling parameters must be finite, got {lam}")
     modes = sorted(set(int(m) for m in mode_partition))
     if not modes:
         raise ValueError("mode partition must not be empty")

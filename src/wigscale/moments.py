@@ -70,24 +70,26 @@ def moments_from_grid(w: GridWigner) -> SecondMoments:
         ValueError: for unnormalized input.
     """
     w.require_normalized()
-    # the axis as a column (q) and a row (p); W q and W p are each formed once and reused, since
-    # (W q) q is W * Q * Q over the meshes: each sum adds the same floats in the same order.
-    # Two grid buffers take the five products in turn, W p overwriting W q once it is used
     x = w.spec.axis()
-    q, p = x[:, None], x
     weight = w.spec.quadrature_weight
-    first = np.multiply(w.values, q)
-    second = np.multiply(first, q)
-    mean_q = float(first.sum() * weight)
-    sigma_qq = float(second.sum() * weight) - mean_q**2
-    np.multiply(first, p, out=second)
-    qp = float(second.sum() * weight)
-    np.multiply(w.values, p, out=first)
-    mean_p = float(first.sum() * weight)
-    np.multiply(first, p, out=second)
-    sigma_pp = float(second.sum() * weight) - mean_p**2
-    sigma_qp = qp - mean_q * mean_p
+    # rows index q and columns p: the means and variances are moments of the two marginals,
+    # and the cross moment is the q moment of the row sums of W p
+    marginal_q, marginal_p = w.values.sum(axis=1), w.values.sum(axis=0)
+    mean_q, mean_p = _odd_moment(marginal_q, x, weight), _odd_moment(marginal_p, x, weight)
+    sigma_qq = float(marginal_q @ (x * x) * weight) - mean_q**2
+    sigma_pp = float(marginal_p @ (x * x) * weight) - mean_p**2
+    sigma_qp = _odd_moment(w.values @ x, x, weight) - mean_q * mean_p
     return SecondMoments(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp)
+
+
+def _odd_moment(values: np.ndarray, x: np.ndarray, weight: float) -> float:
+    """sum_i values_i x_i times weight, the cells at x and -x paired first.
+
+    The axis is exactly antisymmetric (x[n - 1 - i] == -x[i]), so the moment of
+    an even `values` is exactly 0, as the first moments of a symmetric state are.
+    """
+    half = len(x) // 2
+    return float((values[half:] - values[half - 1::-1]) @ x[half:] * weight)
 
 
 def sr_value(m: SecondMoments) -> float:

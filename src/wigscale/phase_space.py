@@ -21,6 +21,7 @@ __all__ = [
     "GridWigner",
     "PositionDensity",
     "default_grid",
+    "require_grid_fits",
     "eval_fock_wigner",
     "sample_to_grid",
     "apply_scaling",
@@ -108,8 +109,10 @@ class AnalyticWigner:
             raise ValueError(f"fock_index must be a nonnegative integer, got {self.fock_index}")
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
-        if not self.squeeze > 0:
-            raise ValueError(f"squeeze must be positive, got {self.squeeze}")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
+        if not 0 < self.squeeze < np.inf:
+            raise ValueError(f"squeeze must be positive and finite, got {self.squeeze}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,30 +216,17 @@ def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridWigner:
-    """Sample an analytic state at the cell centers of `spec`.
+def require_grid_fits(state: AnalyticWigner, spec: GridSpec) -> None:
+    """Raise ValueError unless `spec` can hold `state`; allocates nothing.
 
-    Rows index q and columns index p. The state is evaluated on the first half
-    of the axis as a column and a row, which :func:`eval_fock_wigner`
-    broadcasts to one quadrant, and mirrored into the other three.
-
-    Args:
-        state: analytic state description.
-        spec: target grid; defaults to :func:`default_grid` for the state.
-
-    Raises:
-        ValueError: if the extent cannot hold the state (normalization of a
-            state scaled by |scale| < 1 needs extent >= 4 / |scale|), or if the
-            Fock index exceeds the points per axis N. No grid of N points
-            resolves such a state: W_n's outer ring sits at radius
-            sqrt(2n + 1) / |scale|, which the extent must cover, and its radial
-            wavenumber reaches 2 sqrt(2n + 1) |scale|, which the step
-            2 extent / N must Nyquist-sample; both hold only if
-            2n + 1 <= pi N / 4, so n <= N is a generous bound, checked before
-            any N x N work.
+    The extent must hold the state: normalization of a state scaled by
+    |scale| < 1 needs extent >= 4 / |scale|. The Fock index must not exceed
+    the points per axis N. No grid of N points resolves such a state: W_n's
+    outer ring sits at radius sqrt(2n + 1) / |scale|, which the extent must
+    cover, and its radial wavenumber reaches 2 sqrt(2n + 1) |scale|, which the
+    step 2 extent / N must Nyquist-sample; both hold only if
+    2n + 1 <= pi N / 4, so n <= N is a generous bound.
     """
-    if spec is None:
-        spec = default_grid(state)
     if state.fock_index > spec.points_per_axis:
         raise ValueError(
             f"fock index {state.fock_index} exceeds the {spec.points_per_axis} points per axis: "
@@ -248,6 +238,23 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec | None = None) -> GridW
             f"grid too small: extent {spec.extent:g} < required {required:g} "
             f"for scale {state.scale:g}"
         )
+
+
+def sample_to_grid(state: AnalyticWigner, spec: GridSpec) -> GridWigner:
+    """Sample an analytic state at the cell centers of `spec`.
+
+    Rows index q and columns index p. The state is evaluated on the first half
+    of the axis as a column and a row, which :func:`eval_fock_wigner`
+    broadcasts to one quadrant, and mirrored into the other three.
+
+    Args:
+        state: analytic state description.
+        spec: target grid, such as :func:`default_grid` of the state.
+
+    Raises:
+        ValueError: from :func:`require_grid_fits`, before any N x N work.
+    """
+    require_grid_fits(state, spec)
     # W depends on q and p only through q^2 and p^2, and the axis is exactly antisymmetric,
     # so one quadrant evaluated and mirrored equals the whole grid evaluated, bit for bit
     half = spec.points_per_axis // 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wigscale import cli, gaussian_cv, moments
+from wigscale import cli, gaussian_cv, moments, phase_space
 
 
 def run(capsys, *argv):
@@ -598,6 +598,13 @@ class TestFidelityResolution:
         code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "0.05", "--steps", "3")
         assert code == 2 and out == ""
         assert f"--grid {needed}" in err
+
+    def test_refused_before_any_sampling(self, capsys, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: sampled.append(args))
+        code, _, err = run(capsys, "fidelity", "--lambda-min", "0.01", "--lambda-max", "0.05", "--steps", "3")
+        assert code == 2 and "--grid 2286" in err
+        assert sampled == []
 
     def test_suggested_grid_resolves(self, capsys):
         code, out, _ = run(

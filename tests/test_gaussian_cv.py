@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warnings
 
@@ -81,6 +82,32 @@ class TestSqueezeSymplectic:
             ok_before, _ = is_valid_state(cov)
             ok_after, _ = is_valid_state(squeeze_symplectic(cov, 1, kappa))
             assert ok_before and ok_after
+
+    def test_large_correlations_stay_exactly_symmetric(self):
+        # unmirrored, (d_q S_qp) d_p and (d_p S_pq) d_q round apart by more than the absolute
+        # HERMITICITY_TOL for 60 of these 251 kappa, and a valid state is refused
+        cov = CovarianceMatrix(1, [[3e4, 9e3], [9e3, 3e4]])
+        for kappa in np.linspace(0.5, 3.0, 251):
+            out = squeeze_symplectic(cov, 1, kappa).matrix
+            assert out[0, 1] == out[1, 0] == (1.0 / kappa * 9e3) * kappa
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.floats(0.0, 1e8), st.floats(0.1, 10.0))
+    def test_valid_states_with_large_entries_squeeze(self, data, modes, size, kappa):
+        # S = I/2 + G G^T >= I/2 is a valid state, since iJ/2 has eigenvalues +-1/2
+        g = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * modes * modes,
+                                        max_size=4 * modes * modes))).reshape(2 * modes, 2 * modes)
+        gram = g @ g.T
+        cov = CovarianceMatrix(modes, 0.5 * np.eye(2 * modes) + size * gram / max(1.0, np.abs(gram).max()))
+        mode = data.draw(st.integers(1, modes))
+        out = squeeze_symplectic(cov, mode, kappa).matrix
+        assert np.array_equal(out, out.T)
+        diag = np.ones(2 * modes)
+        diag[mode - 1], diag[modes + mode - 1] = 1.0 / kappa, kappa
+        # each entry is two products from the congruence, up to the last ulps; subnormal ones round absolutely
+        np.testing.assert_allclose(out, diag[:, None] * cov.matrix * diag[None, :],
+                                   rtol=4 * np.finfo(float).eps, atol=4 * np.finfo(float).smallest_subnormal)
+        assert is_valid_state(CovarianceMatrix(modes, out))[0]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -172,6 +199,13 @@ class TestSeparabilityScan:
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             separability_scan(vacuum(2), {2}, [0.0, 1.0])
+
+    @pytest.mark.parametrize("grid,named", [([np.nan], "nan"), ([-1.0, np.nan], "nan"), ([np.inf, -1.0], "inf"),
+                                            ([-np.inf], "-inf")])
+    def test_non_finite_lambda_named(self, grid, named):
+        with pytest.raises(ValueError, match=f"must be finite, got {named}") as refused:
+            separability_scan(two_mode_squeezed(1.0), {2}, grid)
+        assert not isinstance(refused.value, ScaleOverflowError)
 
     @pytest.mark.parametrize("modes,grid,named", [({1}, [1e-160, 1.0], "1e-160"),
                                                   ({1, 2}, [0.5, -1e-155, 1e-150], "-1e-155"),

@@ -36,6 +36,63 @@ def mesh_moments(w):
     return SecondMoments(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp)
 
 
+#: unit roundoff of float64
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): k roundings perturb a term by at most this, relatively."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def assert_within_rounding_bound(w, got, want):
+    """Assert |moments_from_grid - mesh_moments| within a forward-error bound, field by field.
+
+    Each raw moment is the sum over cells of W_ij f_ij times the weight, for f = q, p,
+    q^2, p^2 and q p on the float axis. moments_from_grid forms each term through at most
+    2n + 1 roundings: the n - 1 additions of a marginal (or the product W_ij p_j and n - 1
+    additions of a row of W p), then either the axis square, the product and the n - 1
+    additions of a dot over the whole axis, or the pairing of x with -x, the product and
+    the n/2 - 1 additions of a dot over half of it, and the weight. mesh_moments multiplies twice and the weight once
+    and adds the n^2 terms pairwise (numpy, no axis: at most 25 additions inside a block
+    of 128, one per halving above it, and one per 8192-element buffer if the reduction
+    is buffered), which is at most 2n - 2 additions for every n >= 16. However the
+    additions are ordered, each raw sum is then within gamma_{2n+1} S_f of the exact
+    sum of the float terms (Higham, Accuracy and Stability, 2nd ed., eq. 3.4 and
+    sec. 4.2), with S_f = sum |W_ij| |f_ij| weight, and the two within e_f = 2 gamma_{2n+1} S_f.
+
+    A central moment is fl(raw_ab - fl(mean_a mean_b)); on each side the product rounds
+    by at most 2u |mean_a mean_b| (pow: one ulp) and the subtraction by u |sigma_ab|, and
+    |mean_a mean_b - mean_a' mean_b'| <= e_a |mean_b| + |mean_a'| e_b.
+    """
+    n = w.spec.points_per_axis
+    x = np.abs(w.spec.axis())
+    weight = w.spec.quadrature_weight
+    absw = np.abs(w.values)
+    row, col = absw.sum(axis=1), absw.sum(axis=0)
+    e = {
+        "q": row @ x, "p": col @ x, "qq": row @ (x * x), "pp": col @ (x * x), "qp": x @ absw @ x,
+    }
+    e = {key: 2 * gamma(2 * n + 1) * value * weight for key, value in e.items()}
+    u = UNIT_ROUNDOFF
+
+    def central(raw, a, b, sigma_got, sigma_want):
+        mean_a, mean_b = (getattr(got, f"mean_{k}") for k in (a, b))
+        ref_a, ref_b = (getattr(want, f"mean_{k}") for k in (a, b))
+        return (e[raw] + e[a] * abs(mean_b) + abs(ref_a) * e[b]
+                + u * (2 * abs(mean_a * mean_b) + abs(sigma_got) + 2 * abs(ref_a * ref_b) + abs(sigma_want)))
+
+    bounds = {
+        "mean_q": e["q"],
+        "mean_p": e["p"],
+        "sigma_qq": central("qq", "q", "q", got.sigma_qq, want.sigma_qq),
+        "sigma_pp": central("pp", "p", "p", got.sigma_pp, want.sigma_pp),
+        "sigma_qp": central("qp", "q", "p", got.sigma_qp, want.sigma_qp),
+    }
+    for name, bound in bounds.items():
+        assert abs(getattr(got, name) - getattr(want, name)) <= bound, (name, getattr(got, name), getattr(want, name), bound)
+
+
 class TestMomentsFromGrid:
     def test_ground_state(self):
         m = moments_from_grid(fock_grid(0))
@@ -59,14 +116,37 @@ class TestMomentsFromGrid:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 6), st.floats(0.5, 1.5), st.floats(0.7, 1.4), st.integers(8, 256))
-    def test_axis_broadcast_equals_mesh_reference(self, n, lam, kappa, half_points):
+    def test_marginal_moments_match_mesh_reference(self, n, lam, kappa, half_points):
         state = phase_space.AnalyticWigner(n, lam, kappa)
         sampled = phase_space.sample_to_grid(state, phase_space.default_grid(state, 2 * half_points))
         # coarse grids miss the norm; rescaling keeps every grid a valid input
         w = phase_space.GridWigner(sampled.spec, sampled.values / sampled.norm())
-        # compared as bit patterns: equal values, and equal signs of zero
-        got, want = (np.array(dataclasses.astuple(f(w))) for f in (moments_from_grid, mesh_moments))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_within_rounding_bound(w, moments_from_grid(w), mesh_moments(w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.0, np.pi),
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from([128, 192, 256]),
+    )
+    def test_displaced_correlated_gaussian(self, eig_a, eig_b, angle, mean_q, mean_p, points):
+        # every Fock state is even in q and p; this grid has nonzero means and sigma_qp
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        sigma = rot @ np.diag([eig_a, eig_b]) @ rot.T
+        # 10 standard deviations beyond the mean and a step at most 1/2.8 of the narrowest
+        # one (at 128 points): truncation and aliasing of the midpoint rule stay below 1e-20
+        extent = max(abs(mean_q), abs(mean_p)) + 10.0 * np.sqrt(max(eig_a, eig_b))
+        spec = phase_space.GridSpec(extent, points)
+        dq, dp = np.meshgrid(spec.axis() - mean_q, spec.axis() - mean_p, indexing="ij")
+        inv = np.linalg.inv(sigma)
+        exponent = inv[0, 0] * dq * dq + 2.0 * inv[0, 1] * dq * dp + inv[1, 1] * dp * dp
+        w = phase_space.GridWigner(spec, np.exp(-0.5 * exponent) / np.sqrt(np.linalg.det(sigma)))
+        got = moments_from_grid(w)
+        assert_within_rounding_bound(w, got, mesh_moments(w))
+        # sampling rounds each cell by a few hundred ulps at most, and the sums by the bound
+        # above (below 1e-13 relative here), so 1e-12 of the largest moment holds with room
+        exact = np.array([mean_q, mean_p, sigma[0, 0], sigma[1, 1], sigma[0, 1]])
+        scale = max(eig_a, eig_b) + max(mean_q**2, mean_p**2)
+        np.testing.assert_allclose(dataclasses.astuple(got), exact, rtol=0, atol=1e-12 * scale)
 
     def test_unnormalized_rejected(self):
         from wigscale.phase_space import GridWigner

@@ -179,6 +179,11 @@ class TestTypes:
             AnalyticWigner(0, scale=0.0)
         with pytest.raises(ValueError):
             AnalyticWigner(0, squeeze=-2.0)
+        # refused before any grid is sampled, so no evaluation runs and no RuntimeWarning is raised
+        for field, value in [("scale", np.nan), ("scale", np.inf), ("scale", -np.inf),
+                             ("squeeze", np.inf), ("squeeze", np.nan)]:
+            with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value}"):
+                AnalyticWigner(1, **{field: value})
 
     def test_grid_values_are_immutable(self):
         w = fock_grid(0)
@@ -332,7 +337,8 @@ class TestSqueeze:
     """The exact squeeze W(kappa q, p / kappa), sampled from AnalyticWigner(n, 1, kappa)."""
 
     def test_identity(self):
-        assert np.array_equal(sample_to_grid(AnalyticWigner(1, 1.0, 1.0)).values, fock_grid(1).values)
+        state = AnalyticWigner(1, 1.0, 1.0)
+        assert np.array_equal(sample_to_grid(state, phase_space.default_grid(state)).values, fock_grid(1).values)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
