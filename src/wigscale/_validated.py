@@ -23,7 +23,7 @@ def hermiticity_residual(array: np.ndarray) -> float:
     returns the same value as the whole difference.
     """
     n = array.shape[0]
-    if n <= _RESIDUAL_BLOCK:
+    if n <= _RESIDUAL_BLOCK:  # same value as the blocked loop, whose overhead slows scans of small matrices
         return float(np.abs(array - array.conj().T).max())
     return float(max(np.abs(array[start:start + _RESIDUAL_BLOCK, start:]
                             - array[start:, start:start + _RESIDUAL_BLOCK].conj().T).max()

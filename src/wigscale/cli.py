@@ -111,6 +111,7 @@ def _run_fidelity(args) -> str:
     if not (2 <= args.steps <= MAX_FIDELITY_STEPS):
         raise ValueError(f"--steps must be between 2 and {MAX_FIDELITY_STEPS}, got {args.steps}")
     rows = []
+    ground_spec = None
     for lam in np.linspace(args.lam_min, args.lam_max, args.steps):
         state = phase_space.AnalyticWigner(1, lam)
         spec = _make_grid(args, state)
@@ -122,7 +123,8 @@ def _run_fidelity(args) -> str:
                 f"grid step {spec.step:.3g} at lambda {lam:g} exceeds {MAX_FIDELITY_H}, which under-resolves "
                 f"the ground state; use --grid {math.ceil(2.0 * spec.extent / MAX_FIDELITY_H)} or more"
             )
-        ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
+        if spec != ground_spec:  # with --extent, or once lambda >= 1, the grid stays the same
+            ground, ground_spec = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec), spec
         scaled = phase_space.sample_to_grid(state, spec)
         quad = phase_space.overlap(ground, scaled)
         rows.append([lam, quad, _closed_form_fidelity(lam), -2.0 * lam**2])
@@ -223,7 +225,10 @@ def _load_covariance(path: str) -> gaussian_cv.CovarianceMatrix:
 
 def _run_separability(args) -> str:
     cov = _load_covariance(args.cov)
-    modes = {int(part) for part in args.modes.split(",")}
+    try:
+        modes = {int(part) for part in args.modes.split(",")}
+    except ValueError:
+        raise ValueError(f"--modes must be comma-separated mode indices such as 1,2, got {args.modes!r}") from None
     lam_grid = _parse_lambda_grid(args.lambda_grid)
     report = gaussian_cv.separability_scan(cov, modes, lam_grid, tol=args.tol)
     meta = {

@@ -184,6 +184,7 @@ def eval_fock_wigner(state: AnalyticWigner, q, p):
     gauss = np.negative(r2, out=np.empty_like(r2))
     np.exp(gauss, out=gauss)
     n = state.fock_index
+    # n = 0 and 1 equal _laguerre bit for bit, but skip its three extra buffers, which raise sampling's peak RSS
     if n == 0:
         base = gauss
         base *= 2.0
@@ -456,7 +457,8 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     Computes W(q, p) = integral of rho(q + u/2, q - u/2) e^{-i p u} du by
     quadrature over the anti-diagonals of rho (u runs over even multiples of
     the grid step). Anti-diagonal t of row m stays on the grid only while
-    t <= min(m, n - 1 - m) < n/2, so only t in [0, n/2) is gathered; rho is
+    t <= min(m, n - 1 - m) < n/2, so only t in [0, n/2) is read, as rho's
+    sub-diagonal 2t (the slice :func:`wigner_to_density` writes); rho is
     Hermitian, so anti-diagonal -t is the conjugate of t and each t >= 1
     counts twice. The p axis is exactly antisymmetric, so the products run
     over its positive half: at -p the cos term is the same and the sin term
@@ -467,31 +469,19 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     half = n // 2
     h = rho.spec.step
     x = rho.spec.axis()
-    t = np.arange(half)
-    m = np.arange(n)[:, None]
-    # diagonals[m, t] = rho[m + t, m - t] at flat index m (n + 1) + t (n - 1), gathered as the
-    # real and imaginary halves of the complex pairs; off the grid the index is replaced by 0
-    # and the weight zeroes the entry, and weight 2 counts anti-diagonal -t
-    inside = t <= np.minimum(m, n - 1 - m)
-    flat = m * (n + 1) + t * (n - 1)
-    flat *= inside
-    flat *= 2
-    pairs = rho.values.view(float).ravel()
-    diag_re = pairs.take(flat)
-    flat += 1
-    diag_im = pairs.take(flat)
-    del flat
-    weight = np.multiply(inside, 2.0)
-    del inside
-    weight[:, 0] = 1.0
-    diag_re *= weight
-    diag_im *= weight
-    del weight
+    # diagonals[m, t] = rho[m + t, m - t], 0 off the grid, is sub-diagonal 2t at rows t..n-1-t; weight 2
+    # counts anti-diagonal -t. One complex buffer: two float buffers filled directly raise the peak RSS
+    diagonals = np.zeros((n, half), dtype=complex)
+    for t in range(half):
+        diagonals[t:n - t, t] = rho.values.reshape(-1)[2 * t * n::n + 1]
+    diagonals[:, 1:] *= 2.0
+    diag_re, diag_im = diagonals.real.copy(), diagonals.imag.copy()
+    del diagonals
     # the positive half of the p axis: the last columns of a product, which BLAS rounds in a
     # kernel of its own, then sit at the grid's edges, where W is ~0, as in a full-width product
-    phase = np.outer(2.0 * h * t, x[half:])
+    phase = np.outer(2.0 * h * np.arange(half), x[half:])
     cos_part = diag_re @ np.cos(phase)
-    del diag_re  # each gathered half is freed once its product exists
+    del diag_re  # each half is freed once its product exists
     sin_part = diag_im @ np.sin(phase)
     del diag_im, phase
     w = np.empty((n, n))

@@ -488,6 +488,14 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith("error:") and "modes" in err
 
+    @pytest.mark.parametrize("modes", [",", "1,,2", "", "a", "1.5"])
+    def test_malformed_modes_option_named(self, capsys, tmp_path, modes):
+        path = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "1.0", "--out", str(path))
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", modes)
+        assert code == 2 and out == ""
+        assert err == f"error: --modes must be comma-separated mode indices such as 1,2, got {modes!r}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     @pytest.mark.parametrize(
         "argv,option",
@@ -613,6 +621,17 @@ class TestFidelityResolution:
         assert code == 0
         for row in parse_csv(out)[1]:
             assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-6)
+
+    def test_ground_state_sampled_once_per_grid(self, capsys, monkeypatch):
+        # a fixed --extent gives every lambda the same grid: one ground state and 200 scaled states
+        calls = []
+        sample = phase_space.sample_to_grid
+        monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: calls.append(args) or sample(*args))
+        code, _, _ = run(capsys, "fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--steps", "200",
+                         "--extent", "8")
+        assert code == 0
+        assert len(calls) == 201
+        assert sum(state.fock_index == 0 for state, _ in calls) == 1
 
     def test_extent_error_comes_first(self, capsys):
         code, _, err = run(

@@ -526,6 +526,38 @@ class TestRealKernels:
         full = full_range_density_to_wigner(rho)
         assert np.abs(density_to_wigner(rho).values - full).max() <= 1e-15 * np.abs(full).max()
 
+    @pytest.mark.parametrize("points", [16, 18, 250])
+    def test_inverse_reads_only_even_sub_diagonals(self, points):
+        # anti-diagonal t of rho is its sub-diagonal 2t, so entries with i - j odd never reach W
+        spec = GridSpec(8.0, points)
+        rng = np.random.default_rng(points)
+        a = rng.standard_normal((points, points)) + 1j * rng.standard_normal((points, points))
+        idx = np.arange(points)
+        a *= (idx[:, None] - idx) % 2
+        rho = phase_space.PositionDensity(spec, a + a.conj().T)
+        assert rho.values.any()
+        assert not density_to_wigner(rho).values.any()
+
+    @pytest.mark.parametrize("transform,bytes_per_point", [(wigner_to_density, 24), (density_to_wigner, 16)])
+    def test_transform_peak_memory_at_1024_points(self, transform, bytes_per_point):
+        # the README's figures: wigner_to_density holds rho (16 bytes a point) beside the two
+        # half-width odd products (4 each); density_to_wigner holds four n x n/2 float arrays at
+        # every stage: the complex anti-diagonals beside their real and imaginary copies, those
+        # copies beside a product and the two n/2 x n/2 phase tables, or W beside the two
+        # products. The allowance covers eight axis-length vectors and numpy's iterator buffer
+        # (getbufsize() doubles), which the strided writes into W use
+        state = AnalyticWigner(1, 0.5)
+        w = sample_to_grid(state, phase_space.default_grid(state, 1024))
+        rho = wigner_to_density(w)  # untraced, so numpy's FFT plan for the length is cached already
+        source = w if transform is wigner_to_density else rho
+        tracemalloc.start()
+        try:
+            transform(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_point * 1024**2 + 8 * (8 * 1024 + np.getbufsize())
+
     def test_peak_memory_within_the_grid_cap_figure(self):
         # GridSpec's refusal message scales this per-point figure to the requested grid
         w = fock_grid(1, 0.5)
