@@ -45,6 +45,9 @@ _TRANSFORM_BYTES_PER_POINT = 32
 #: columns per FFT block of the half-cell shift
 _SHIFT_COLUMNS = 64
 
+#: rows and columns per tile of the mirror that fills rho's upper triangle
+_MIRROR_TILE = 64
+
 #: sampling rejects extents below this multiple of max(1, 1/|scale|)
 _MIN_EXTENT_FACTOR = 4.0
 
@@ -388,27 +391,34 @@ def _scaled_product(rows: np.ndarray, func, x: np.ndarray, freqs: np.ndarray, sc
     return product
 
 
-def _fill_offsets(part: np.ndarray, g: np.ndarray, par: int, antisymmetric: bool) -> None:
-    """Write the p-integrals of one parity along rho's diagonals, in both triangles.
+def _fill_rows(part: np.ndarray, g: np.ndarray, par: int) -> None:
+    """Write one parity's p-integrals g[r, c] = G[2r + par, 2c + par] into rho's lower triangle, by rows.
 
-    `part` is the flat real or imaginary part of the n x n matrix rho, and
-    g[r, c] = G[2r + par, 2c + par]. Column c holds offset d = 2c + par, whose
-    entries rho[j + d, j] = G[2j + d, d] are rows j + c of g: all of
-    sub-diagonal d. Super-diagonal d gets the same values (real part) or
-    0.0 - x (imaginary part, so a zero reads +0.0 above the diagonal). For
-    d = 0 that second write lands on the diagonal itself, where the imaginary
-    part is then exactly 0.
+    `part` is rho's real or imaginary part, and rho[i, j] = G[i + j, i - j] for j <= i: row i reads
+    g[i - par - c, c] at the columns i - par - 2c, an anti-diagonal of g, which is the slice of its
+    flat view from (i - par) n/2 in steps of 1 - n/2.
     """
-    n = g.shape[1] * 2
-    for c in range(g.shape[1]):
-        d = 2 * c + par
-        column = g[c:n - c - par, c]
-        part[d * n::n + 1] = column
-        upper = part[d:n * (n - d):n + 1]
-        if antisymmetric:
-            np.subtract(0.0, column, out=upper)
-        else:
-            upper[...] = column
+    half = g.shape[1]
+    flat = g.reshape(-1)
+    for i in range(par, part.shape[0]):
+        part[i, i - par::-2] = flat[(i - par) * half::1 - half][:(i - par) // 2 + 1]
+
+
+def _mirror_lower(rho: np.ndarray) -> None:
+    """Fill rho's upper triangle with the conjugate of its lower one, in tiles that stay in cache.
+
+    The imaginary part is written as 0.0 - x, so a zero reads +0.0 there and on the diagonal, whose
+    imaginary part is then exactly 0. A tile on the diagonal is read from its own lower triangle.
+    """
+    n = rho.shape[0]
+    re, im = rho.real, rho.imag
+    on_and_above = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool))
+    for a in range(0, n, _MIRROR_TILE):
+        for b in range(a, n, _MIRROR_TILE):
+            rows, cols = slice(a, a + _MIRROR_TILE), slice(b, b + _MIRROR_TILE)
+            where = on_and_above[:n - a, :n - a] if a == b else True
+            np.copyto(re[rows, cols], re[cols, rows].T, where=where)
+            np.subtract(0.0, im[cols, rows].T, out=im[rows, cols], where=where)
 
 
 def wigner_to_density(w: GridWigner) -> PositionDensity:
@@ -421,9 +431,10 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     products; the other half of the table is never computed. The midpoint
     (x_i + x_j)/2 is the grid row (i + j)/2 for even s and half a cell above
     row (i + j - 1)/2 for odd s (:func:`_half_cell_shift`). W is real, so
-    G[s, -d] = conj(G[s, d]): each product is written along rho's diagonals,
-    its conjugate above the diagonal (:func:`_fill_offsets`), so rho is exactly
-    Hermitian with an exactly real diagonal.
+    G[s, -d] = conj(G[s, d]): each product is written into rho's lower triangle
+    row by row (:func:`_fill_rows`), and its conjugate is mirrored above the
+    diagonal (:func:`_mirror_lower`), so rho is exactly Hermitian with an
+    exactly real diagonal.
 
     Raises:
         ValueError: if the input norm deviates from 1 by more than NORM_TOL.
@@ -440,14 +451,14 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     odd = [_scaled_product(shifted, func, x, odd_freqs, scale) for func in (np.cos, np.sin)]
     del shifted
     rho = np.empty((n, n), dtype=complex)
-    flat = rho.reshape(-1)
-    _fill_offsets(flat.real, odd[0], 1, antisymmetric=False)
-    _fill_offsets(flat.imag, odd[1], 1, antisymmetric=True)
+    _fill_rows(rho.real, odd[0], 1)
+    _fill_rows(rho.imag, odd[1], 1)
     del odd
     # the even parity one product at a time, each freed once written
     even_freqs = np.arange(0, n, 2) * h
-    _fill_offsets(flat.real, _scaled_product(w.values, np.cos, x, even_freqs, scale), 0, antisymmetric=False)
-    _fill_offsets(flat.imag, _scaled_product(w.values, np.sin, x, even_freqs, scale), 0, antisymmetric=True)
+    _fill_rows(rho.real, _scaled_product(w.values, np.cos, x, even_freqs, scale), 0)
+    _fill_rows(rho.imag, _scaled_product(w.values, np.sin, x, even_freqs, scale), 0)
+    _mirror_lower(rho)
     return PositionDensity(w.spec, _frozen(rho))
 
 
@@ -457,8 +468,7 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     Computes W(q, p) = integral of rho(q + u/2, q - u/2) e^{-i p u} du by
     quadrature over the anti-diagonals of rho (u runs over even multiples of
     the grid step). Anti-diagonal t of row m stays on the grid only while
-    t <= min(m, n - 1 - m) < n/2, so only t in [0, n/2) is read, as rho's
-    sub-diagonal 2t (the slice :func:`wigner_to_density` writes); rho is
+    t <= min(m, n - 1 - m) < n/2, so only t in [0, n/2) is read; rho is
     Hermitian, so anti-diagonal -t is the conjugate of t and each t >= 1
     counts twice. The p axis is exactly antisymmetric, so the products run
     over its positive half: at -p the cos term is the same and the sin term
@@ -469,11 +479,13 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     half = n // 2
     h = rho.spec.step
     x = rho.spec.axis()
-    # diagonals[m, t] = rho[m + t, m - t], 0 off the grid, is sub-diagonal 2t at rows t..n-1-t; weight 2
-    # counts anti-diagonal -t. One complex buffer: two float buffers filled directly raise the peak RSS
+    # diagonals[m, t] = rho[m + t, m - t], 0 off the grid: row m is the slice of rho's flat view from m (n + 1)
+    # in steps of n - 1; weight 2 counts anti-diagonal -t. One complex buffer: two float buffers raise the peak RSS
     diagonals = np.zeros((n, half), dtype=complex)
-    for t in range(half):
-        diagonals[t:n - t, t] = rho.values.reshape(-1)[2 * t * n::n + 1]
+    flat = rho.values.reshape(-1)
+    for m in range(n):
+        length = min(m, n - 1 - m) + 1
+        diagonals[m, :length] = flat[m * (n + 1)::n - 1][:length]
     diagonals[:, 1:] *= 2.0
     diag_re, diag_im = diagonals.real.copy(), diagonals.imag.copy()
     del diagonals

@@ -502,19 +502,36 @@ class TestRealKernels:
             back = density_to_wigner(rho).values
             assert np.abs(back - full_range_density_to_wigner(rho)).max() <= 1e-15
 
-    @pytest.mark.parametrize("points,lam,kappa,n",
-                             [(32, 1.0, 1.0, 0), (64, 0.6, 1.4, 0), (128, 0.9, 1.0, 2), (256, 0.8, 0.7, 2),
-                              (512, 0.5, 1.3, 3), (1024, 0.6, 1.0, 1), (2048, 0.7, 1.0, 4)])
-    def test_diagonal_fill_equals_the_zero_table_bit_for_bit(self, points, lam, kappa, n):
-        # the signs of zero included: mirrored imaginary entries are written as 0.0 - x
-        state = AnalyticWigner(n, lam, kappa)
-        w = sample_to_grid(state, phase_space.default_grid(state, points))
+    @staticmethod
+    def assert_fill_is_the_zero_table(w):
+        # the signs of zero included: mirrored imaginary entries are written as 0.0 - x, so the
+        # diagonal's imaginary part reads +0.0
         rho = wigner_to_density(w)
+        assert not np.signbit(rho.values.diagonal().imag).any()
         ref = zero_table_wigner_to_density(w)
         assert np.array_equal(bits(rho.values), bits(ref.values))
         del ref
         assert np.array_equal(bits(density_to_wigner(rho).values),
                               bits(density_to_wigner(zero_table_wigner_to_density(w)).values))
+        return rho
+
+    # the grids of 18, 66 and 250 points have an odd n/2, so a parity's product has an odd width
+    @pytest.mark.parametrize("points,lam,kappa,n",
+                             [(32, 1.0, 1.0, 0), (64, 0.6, 1.4, 0), (128, 0.9, 1.0, 2), (256, 0.8, 0.7, 2),
+                              (512, 0.5, 1.3, 3), (1024, 0.6, 1.0, 1), (2048, 0.7, 1.0, 4),
+                              (18, 1.0, 1.0, 0), (66, 0.6, 1.0, 1), (250, 0.8, 1.3, 4)])
+    def test_diagonal_fill_equals_the_zero_table_bit_for_bit(self, points, lam, kappa, n):
+        state = AnalyticWigner(n, lam, kappa)
+        self.assert_fill_is_the_zero_table(sample_to_grid(state, phase_space.default_grid(state, points)))
+
+    @pytest.mark.parametrize("points", [16, 18, 66, 250, 512])
+    def test_diagonal_fill_of_a_random_grid_equals_the_zero_table_bit_for_bit(self, points):
+        # a grid not even in p, so the sin products and rho's imaginary part are nonzero
+        spec = GridSpec(8.0, points)
+        values = np.random.default_rng(points).standard_normal((points, points))
+        values /= values.sum() * spec.quadrature_weight
+        rho = self.assert_fill_is_the_zero_table(phase_space.GridWigner(spec, values))
+        assert np.count_nonzero(rho.values.imag) == points * (points - 1)
 
     @pytest.mark.parametrize("points", [16, 18, 64, 250, 512])
     def test_half_range_inverse_drops_only_zero_diagonals(self, points):

@@ -320,6 +320,41 @@ def test_blocked_residual_is_the_whole_difference(size, complex_valued, seed, da
     assert str(refused.value) == f"{message} = {residual:.3e}"
 
 
+@SETTINGS
+@given(
+    size=st.integers(65, 300),
+    complex_valued=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    change=st.sampled_from(["none", "perturbed", "nan", "inf"]),
+    data=st.data(),
+)
+def test_residual_of_exactly_hermitian_arrays_is_the_whole_difference(size, complex_valued, seed, change, data):
+    # above one block, a block that equals its mirror exactly skips the |.| pass: an exactly
+    # Hermitian array that holds both signs of zero must read 0, and one entry changed in any
+    # block must still give the whole difference's maximum, NaN included
+    rng = np.random.default_rng(seed)
+
+    def with_signed_zeros():
+        part = rng.standard_normal((size, size))
+        return np.where(rng.random((size, size)) < 0.3, np.copysign(0.0, rng.standard_normal((size, size))), part)
+
+    x = np.empty((size, size), dtype=complex if complex_valued else float)
+    x.real = with_signed_zeros()
+    if complex_valued:
+        x.imag = with_signed_zeros()
+        x.imag[np.diag_indices(size)] = np.copysign(0.0, rng.standard_normal(size))
+    lower = np.tril_indices(size, -1)
+    x[lower] = x.T[lower].conj()
+    assert np.signbit(x.real[x.real == 0.0]).any() and not np.signbit(x.real[x.real == 0.0]).all()
+    if change == "none":
+        assert hermiticity_residual(x) == 0.0
+    else:
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        x[i, j] = {"perturbed": x[i, j] + data.draw(st.floats(1e-12, 1.0)), "nan": np.nan, "inf": np.inf}[change]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert np.array_equal(hermiticity_residual(x), np.abs(x - x.conj().T).max(), equal_nan=True)
+
+
 class TestToleranceRegressions:
     def test_covariance_asymmetry_decided_at_construction(self):
         # above the tolerance the constructor refuses; below it the state check runs without raising
