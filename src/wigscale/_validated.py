@@ -20,16 +20,15 @@ def hermiticity_residual(array: np.ndarray) -> float:
 
     |M - M^dag| is symmetric, so a large matrix is read in blocks of rows on and
     above the diagonal, which bounds the temporaries to one block of rows and
-    returns the same value as the whole difference. A block equal to its mirror,
-    as in a matrix Hermitian by construction, reads 0 without the |.| pass; a
-    NaN in any block makes the residual NaN.
+    returns the same value as the whole difference; a NaN in any block makes the
+    residual NaN.
     """
     n = array.shape[0]
     if n <= _RESIDUAL_BLOCK:  # same value as the blocked loop, whose overhead slows scans of small matrices
         return float(np.abs(array - array.conj().T).max())
     diffs = (array[start:start + _RESIDUAL_BLOCK, start:] - array[start:, start:start + _RESIDUAL_BLOCK].conj().T
              for start in range(0, n, _RESIDUAL_BLOCK))
-    return float(np.max([np.abs(diff).max() if diff.any() else 0.0 for diff in diffs]))
+    return float(np.max([np.abs(diff).max() for diff in diffs]))
 
 
 def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:
