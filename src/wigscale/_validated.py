@@ -1,4 +1,4 @@
-"""Construction-time array checks and the tolerances shared by several modules."""
+"""Construction-time checks of arrays and counts, and the tolerances shared by several modules."""
 
 from __future__ import annotations
 
@@ -29,6 +29,19 @@ def hermiticity_residual(array: np.ndarray) -> float:
     diffs = (array[start:start + _RESIDUAL_BLOCK, start:] - array[start:, start:start + _RESIDUAL_BLOCK].conj().T
              for start in range(0, n, _RESIDUAL_BLOCK))
     return float(np.max([np.abs(diff).max() for diff in diffs]))
+
+
+def whole_number(value, name: str, low: int) -> int:
+    """int(value) for a whole number of at least `low`; an integral float such as 2.0 counts as its integer.
+
+    Raises:
+        ValueError: naming `name`, for a value below `low`, a fraction, NaN or an infinity.
+    """
+    if not value >= low:
+        raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:

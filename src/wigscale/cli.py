@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--cov", required=True, help="covariance JSON path")
     sep.add_argument("--modes", required=True, help="comma-separated 1-based mode indices to scale")
     sep.add_argument("--lambda-grid", dest="lambda_grid", default="default",
-                     help="'default', 'start:stop:count', or comma-separated values")
+                     help="'default', 'start:stop:count', or comma-separated values; "
+                          "a grid that starts with '-' needs the = form, as in --lambda-grid=-1:1:40")
     sep.add_argument("--tol", type=finite_float, default=moments.PSD_TOL, help="relative PSD tolerance")
     _add_common(sep, default_format="json")
     sep.set_defaults(func=_run_separability)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._validated import HERMITICITY_TOL, hermiticity_residual
+from ._validated import HERMITICITY_TOL, hermiticity_residual, whole_number
 from .moments import HermitianMatrix
 from .phase_space import PositionDensity
 
@@ -96,8 +96,7 @@ def project_state(rho: PositionDensity, dim: int) -> HermitianMatrix:
     Raises:
         ValueError: if `dim` is too large for the grid.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    dim = whole_number(dim, "dim", 1)
     if dim - 1 > HERMITE_INDEX_LIMIT:
         raise ValueError(f"dim {dim} exceeds supported limit {HERMITE_INDEX_LIMIT + 1}")
     # local wavevector of psi_{dim-1} peaks at sqrt(2 dim - 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from ._validated import store_validated
+from ._validated import store_validated, whole_number
 
 __all__ = [
     "CovarianceMatrix",
@@ -47,8 +47,7 @@ class CovarianceMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError(f"modes must be positive, got {self.modes}")
+        object.__setattr__(self, "modes", whole_number(self.modes, "modes", 1))
         size = 2 * self.modes
         store_validated(self, "matrix", (size, size), float, "covariance matrix", hermitian=True)
 
@@ -87,29 +86,9 @@ class ScaleOverflowError(ValueError, ArithmeticError):
     """
 
 
-def _refuse_overflowing_scale(cov: CovarianceMatrix, modes: list[int], lam_values: list[float]) -> None:
-    """Raise ScaleOverflowError, naming lambda, if the scan would scale an entry past the float range.
-
-    Scaling the momenta of `modes` by 1/lambda turns each entry into (d_i Sigma_ij) d_j
-    with |d| >= 1 for |lambda| <= 1, the same floats however the modes are applied in
-    turn. Rounding is monotone, so if the smallest |lambda| stays finite every other
-    does; it is checked with numpy's overflow warnings off.
-    """
-    lam = min(lam_values, key=abs)
-    if abs(lam) >= 1.0:
-        return
-    diag = np.ones(2 * cov.modes)
-    diag[[cov.modes + mode - 1 for mode in modes]] = 1.0 / lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = diag[:, None] * cov.matrix * diag[None, :]
-    if not np.isfinite(scaled).all():
-        raise ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix")
-
-
 def vacuum(modes: int) -> CovarianceMatrix:
     """N-mode vacuum: Sigma = I/2, saturating the uncertainty relation."""
-    if modes < 1:
-        raise ValueError(f"modes must be positive, got {modes}")
+    modes = whole_number(modes, "modes", 1)
     return CovarianceMatrix(modes, 0.5 * np.eye(2 * modes))
 
 
@@ -135,9 +114,9 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
 
 
 def _check_mode(cov: CovarianceMatrix, mode: int) -> int:
-    if mode < 1 or mode > cov.modes:
+    if not (1 <= mode <= cov.modes and float(mode).is_integer()):
         raise ValueError(f"mode must be in 1..{cov.modes}, got {mode}")
-    return mode - 1
+    return int(mode) - 1
 
 
 def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float) -> CovarianceMatrix:
@@ -202,10 +181,10 @@ def separability_scan(
     """Scan the partial-scaling separability criterion over a lambda grid.
 
     For each lambda, applies :func:`partial_scale` with that lambda to every
-    mode in `mode_partition` and records the minimum eigenvalue of the scaled
-    uncertainty matrix. Separable states keep it nonnegative for all
-    0 < |lambda| <= 1, so any violation there certifies entanglement;
-    no violation is inconclusive.
+    mode in `mode_partition`; once every point is scaled (and the input state
+    checked), records the minimum eigenvalue of each scaled uncertainty
+    matrix. Separable states keep it nonnegative for all 0 < |lambda| <= 1, so
+    any violation there certifies entanglement; no violation is inconclusive.
 
     Args:
         cov: covariance of a valid state (invalid input is an error, not
@@ -216,9 +195,10 @@ def separability_scan(
 
     Raises:
         ValueError: invalid input state, empty grid, zero or non-finite
-            lambda, bad mode indices, or a negative tolerance.
-        ScaleOverflowError: a lambda so close to 0 that the scaled
-            covariance overflows; checked before any eigenvalue is computed.
+            lambda, mode indices outside 1..N or not whole, or a negative
+            tolerance.
+        ScaleOverflowError: naming the first lambda in grid order whose
+            scaled covariance overflows; no eigenvalue is computed before it.
     """
     if not tol >= 0.0:  # a negative tolerance would flag every state, the vacuum included
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
@@ -230,12 +210,21 @@ def separability_scan(
     for lam in lam_values:
         if not math.isfinite(lam):
             raise ValueError(f"scaling parameters must be finite, got {lam}")
-    modes = sorted(set(int(m) for m in mode_partition))
+    modes = sorted(set(mode_partition))
     if not modes:
         raise ValueError("mode partition must not be empty")
     for mode in modes:
         _check_mode(cov, mode)
-    _refuse_overflowing_scale(cov, modes, lam_values)
+    points = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in lam_values:
+            scaled = cov
+            try:
+                for mode in modes:
+                    scaled = partial_scale(scaled, mode, lam)
+            except ValueError:  # lambda and the modes are checked above: only a non-finite entry is refused here
+                raise ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix") from None
+            points.append(scaled)
     ok, min_eig = is_valid_state(cov)
     if not ok:
         raise ValueError(
@@ -246,12 +235,8 @@ def separability_scan(
     min_eigenvalues = []
     violations = []
     outside = []
-    for lam in lam_values:
-        scaled = cov
-        for mode in modes:
-            scaled = partial_scale(scaled, mode, lam)
-        matrix = moments.multimode_uncertainty_matrix(scaled)
-        ok, low = moments.is_psd(matrix, tol)
+    for lam, scaled in zip(lam_values, points):
+        ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
         min_eigenvalues.append(low)
         if abs(lam) > 1.0:
             outside.append(lam)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validated import NORM_TOL, store_validated
+from ._validated import NORM_TOL, store_validated, whole_number
 
 __all__ = [
     "GridSpec",
@@ -108,8 +108,7 @@ class AnalyticWigner:
     squeeze: float = 1.0
 
     def __post_init__(self):
-        if self.fock_index < 0 or int(self.fock_index) != self.fock_index:
-            raise ValueError(f"fock_index must be a nonnegative integer, got {self.fock_index}")
+        object.__setattr__(self, "fock_index", whole_number(self.fock_index, "fock_index", 0))
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
         if not np.isfinite(self.scale):

@@ -246,6 +246,17 @@ class TestSeparability:
         assert code == 0
         assert [r[0] for r in json.loads(out)["rows"]] == [0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize("grid,points", [("-1:1:40", 40), ("-1,0.5", 2)])
+    def test_negative_lambda_grid_scans_in_the_equals_form(self, capsys, tmp_path, grid, points):
+        # a separate "-1:1:40" reads as an option to argparse, so the README gives the = form
+        path = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "1.0", "--out", str(path))
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "2", f"--lambda-grid={grid}")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert len(report["rows"]) == points and report["rows"][0][0] == -1.0
+        assert report["verdict"] == "entanglement_detected"
+
     @pytest.mark.parametrize(
         "grid",
         ["-1:1:1000000000000", "-1:1:10001", ",".join(["0.5"] * 10_001)],

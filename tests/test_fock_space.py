@@ -140,6 +140,18 @@ class TestProjectState:
         with pytest.raises(ValueError, match="turning point"):
             project_state(rho, 33)
 
+    @pytest.mark.parametrize("dim", [3.0, np.float64(3), np.int64(3)])
+    def test_integral_dim_is_its_integer(self, dim):
+        rho = fock_density(1)
+        out = project_state(rho, dim)
+        assert out.dim == 3 and type(out.dim) is int
+        np.testing.assert_array_equal(out.entries, project_state(rho, 3).entries)
+
+    @pytest.mark.parametrize("dim", [2.5, np.float64(0.5), np.inf, np.nan])
+    def test_fractional_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be (positive|an integer), got {dim}"):
+            project_state(fock_density(1), dim)
+
     def test_hermitian_output(self):
         fm = fock_projection(1, lam=0.75, dim=32)
         assert np.abs(fm.entries - fm.entries.conj().T).max() < 1e-10

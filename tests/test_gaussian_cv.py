@@ -52,6 +52,20 @@ class TestConstructors:
         assert ok and min_eig >= -1e-10
         assert np.linalg.det(cov.matrix) == pytest.approx(1.0 / 16.0, abs=1e-9)
 
+    @pytest.mark.parametrize("modes", [2.0, np.float64(2), np.int64(2)])
+    def test_integral_mode_count_is_its_integer(self, modes):
+        cov = vacuum(modes)
+        assert type(cov.modes) is int and cov.modes == 2
+        np.testing.assert_array_equal(cov.matrix, vacuum(2).matrix)
+        assert CovarianceMatrix(modes, cov.matrix).modes == 2 and is_valid_state(cov)[0]
+
+    @pytest.mark.parametrize("modes", [1.5, np.float64(2.5), np.inf, np.nan, 0, -1])
+    def test_fractional_or_nonpositive_mode_count_rejected(self, modes):
+        with pytest.raises(ValueError, match=f"modes must be (positive|an integer), got {modes}"):
+            vacuum(modes)
+        with pytest.raises(ValueError, match=f"modes must be (positive|an integer), got {modes}"):
+            CovarianceMatrix(modes, np.eye(2))
+
     def test_symmetry_enforced(self):
         bad = 0.5 * np.eye(2)
         bad[0, 1] = 1e-6
@@ -104,14 +118,21 @@ class TestSqueezeSymplectic:
         assert np.array_equal(out, out.T)
         diag = np.ones(2 * modes)
         diag[mode - 1], diag[modes + mode - 1] = 1.0 / kappa, kappa
-        # each entry is two products from the congruence, up to the last ulps; subnormal ones round absolutely
+        # each entry is two products from the congruence, up to the last ulps; subnormal ones round absolutely.
+        # The mirrored p-q entry is rounded as (S/kappa) kappa in the code and as (kappa S)/kappa here. Below
+        # the normal range each of these four roundings errs by at most s/2 (s the smallest subnormal), and the
+        # first of each pair is then multiplied by kappa or 1/kappa, so the two differ by at most
+        # (kappa + 1 + 1/kappa + 1) s/2 = ((kappa + 1/kappa)/2 + 1) s; in the normal range rtol covers them.
+        tiny = np.finfo(float).smallest_subnormal
         np.testing.assert_allclose(out, diag[:, None] * cov.matrix * diag[None, :],
-                                   rtol=4 * np.finfo(float).eps, atol=4 * np.finfo(float).smallest_subnormal)
+                                   rtol=4 * np.finfo(float).eps, atol=((kappa + 1.0 / kappa) / 2.0 + 1.0) * tiny)
         assert is_valid_state(CovarianceMatrix(modes, out))[0]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             squeeze_symplectic(vacuum(2), 3, 2.0)
+        with pytest.raises(ValueError, match=r"mode must be in 1\.\.2, got 1\.5"):
+            squeeze_symplectic(vacuum(2), 1.5, 2.0)
         with pytest.raises(ValueError):
             squeeze_symplectic(vacuum(2), 1, -1.0)
 
@@ -138,6 +159,15 @@ class TestPartialScale:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             partial_scale(vacuum(2), 2, 0.0)
+
+    @pytest.mark.parametrize("mode", [1.5, 0.5, 2.5, np.nan, np.inf])
+    def test_fractional_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"mode must be in 1..2, got {mode}"):
+            partial_scale(two_mode_squeezed(1.0), mode, 0.5)
+
+    def test_integral_float_mode_is_its_integer(self):
+        cov = two_mode_squeezed(1.0)
+        np.testing.assert_array_equal(partial_scale(cov, 2.0, 0.5).matrix, partial_scale(cov, 2, 0.5).matrix)
 
     @pytest.mark.parametrize("lam", [0.8, -0.6])
     def test_agrees_with_grid_level_map(self, lam):
@@ -234,6 +264,15 @@ class TestSeparabilityScan:
             separability_scan(vacuum(2), set(), [1.0])
         with pytest.raises(ValueError):
             separability_scan(vacuum(2), {5}, [1.0])
+
+    @pytest.mark.parametrize("partition,named", [({1.9}, "1.9"), ({2.5}, "2.5"), ({1, 1.5}, "1.5")])
+    def test_fractional_mode_in_partition_rejected_not_truncated(self, partition, named):
+        with pytest.raises(ValueError, match=f"mode must be in 1..2, got {named}"):
+            separability_scan(two_mode_squeezed(1.0), partition, [-1.0])
+
+    def test_integral_float_modes_scan_as_their_integers(self):
+        cov, grid = two_mode_squeezed(1.0), default_lambda_grid()
+        assert separability_scan(cov, {1.0, np.float64(2)}, grid) == separability_scan(cov, {1, 2}, grid)
 
     def test_lambda_beyond_one_reported_but_not_a_violation(self):
         # beyond |lambda| = 1 the criterion proves nothing: even the vacuum

@@ -185,6 +185,19 @@ class TestTypes:
             with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value}"):
                 AnalyticWigner(1, **{field: value})
 
+    @pytest.mark.parametrize("n", [2.0, np.float64(3), np.int64(3)])
+    def test_integral_fock_index_is_its_integer(self, n):
+        state = AnalyticWigner(n, 0.8)
+        assert type(state.fock_index) is int and state.fock_index == n
+        spec = GridSpec(12.0, 64)
+        np.testing.assert_array_equal(sample_to_grid(state, spec).values,
+                                      sample_to_grid(AnalyticWigner(int(n), 0.8), spec).values)
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(0.5), np.inf, np.nan, -1])
+    def test_fractional_or_negative_fock_index_rejected(self, n):
+        with pytest.raises(ValueError, match=f"fock_index must be (nonnegative|an integer), got {n}"):
+            AnalyticWigner(n)
+
     def test_grid_values_are_immutable(self):
         w = fock_grid(0)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Property tests for the diagonal phase-space map, its action on moments and the validated types."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -376,13 +378,13 @@ class TestGridSize:
 
 
 @st.composite
-def gaussian_states(draw):
-    """A valid N-mode covariance S diag(nu, nu) S^T (Williamson form) and a mode subset to scale.
+def gaussian_states(draw, min_modes=2):
+    """A valid N-mode covariance S diag(nu, nu) S^T (Williamson form), min_modes <= N <= 4, and a mode subset to scale.
 
     S = O_2 Z O_1 with Z a squeeze and O_k passive (orthogonal symplectic) maps
     built from random unitaries; every symplectic eigenvalue nu is >= 1/2.
     """
-    modes = draw(st.integers(2, 4))
+    modes = draw(st.integers(min_modes, 4))
     unit = st.floats(-1.0, 1.0)
 
     def passive():
@@ -423,3 +425,53 @@ class TestScanStructure:
         assert all(flag == negative for flag, negative in clear)
         flags = [flag for flag, _ in clear]
         assert flags == sorted(flags, reverse=True)  # violations first, then none
+
+
+def one_loop_scan(cov, partition, grid, tol=moments.PSD_TOL):
+    """The scan as a single loop that scales and judges each lambda in turn.
+
+    Returns (min_eigenvalues, violations, outside_criterion, verdict), or the first
+    lambda whose chain of partial_scale calls overflows.
+    """
+    lows, violations, outside = [], [], []
+    for lam in grid:
+        scaled = cov
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for mode in sorted(partition):
+                    scaled = gaussian_cv.partial_scale(scaled, mode, lam)
+        except ValueError:  # the covariance refuses a non-finite entry
+            return lam
+        ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
+        lows.append(low)
+        if abs(lam) > 1.0:
+            outside.append(lam)
+        elif not ok:
+            violations.append(lam)
+    return lows, violations, outside, "entanglement_detected" if violations else "no_violation"
+
+
+# lambda in [-2, 2] away from 0, or down to the smallest subnormal, where the scaled entries overflow
+scan_lambdas = st.one_of(
+    st.floats(-2.0, 2.0).filter(lambda lam: lam != 0.0),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]), st.floats(5e-324, 1e-140)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_states(min_modes=1), st.lists(scan_lambdas, min_size=1, max_size=12))
+def test_scan_equals_the_one_loop_scan_or_refuses_before_any_eigen_solve(case, grid):
+    cov, partition = case
+    expected = one_loop_scan(cov, partition, grid)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        if isinstance(expected, float):
+            with pytest.raises(gaussian_cv.ScaleOverflowError) as refused:
+                gaussian_cv.separability_scan(cov, partition, grid)
+            assert str(refused.value) == f"scaling parameter {expected} overflows the scaled covariance matrix"
+            assert eigvalsh.call_count == 0
+            return
+        report = gaussian_cv.separability_scan(cov, partition, grid)
+    lows, violations, outside, verdict = expected
+    assert report.lam_grid == grid
+    assert np.array_equal(np.array(report.min_eigenvalues).view(np.int64), np.array(lows).view(np.int64))
+    assert (report.violations, report.outside_criterion, report.verdict) == (violations, outside, verdict)
