@@ -9,7 +9,6 @@ Tr(rho A_ij) for operator families A_ij.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -136,36 +135,25 @@ def spectrum(rho: HermitianMatrix) -> Spectrum:
     )
 
 
-def moment_matrix(
-    rho: HermitianMatrix,
-    ops: Sequence[Sequence[np.ndarray | HermitianMatrix]],
-) -> HermitianMatrix:
+def moment_matrix(rho: HermitianMatrix, ops: np.typing.ArrayLike) -> HermitianMatrix:
     """Numeric matrix of trace pairings M[i, j] = Tr(rho * A_ij).
 
     Args:
         rho: Hermitian operator (a state projection or any trace-class
-            matrix).
-        ops: square nested sequence of operators sharing rho's dimension;
-            the family must satisfy A_ji = A_ij^dag so that M is Hermitian
-            (true for :func:`quadrature_pair_operators`).
+            matrix) of dimension d.
+        ops: the family A_ij as one array-like of shape (k, k, d, d), such as
+            the nested list of :func:`quadrature_pair_operators`; it must
+            satisfy A_ji = A_ij^dag so that M is Hermitian.
 
     Raises:
-        ValueError: on dimension mismatch or a family whose pairing matrix
-            is not Hermitian.
+        ValueError: on a family of any other shape, or one whose pairing
+            matrix is not Hermitian.
     """
-    size = len(ops)
-    entries = np.empty((size, size), dtype=complex)
-    for i in range(size):
-        if len(ops[i]) != size:
-            raise ValueError("operator family must be a square matrix of operators")
-        for j in range(size):
-            op = ops[i][j]
-            mat = op.entries if isinstance(op, HermitianMatrix) else np.asarray(op)
-            if mat.shape != (rho.dim, rho.dim):
-                raise ValueError(
-                    f"operator ({i},{j}) has shape {mat.shape}, expected {(rho.dim, rho.dim)}"
-                )
-            entries[i, j] = np.trace(rho.entries @ mat)
+    family = np.asarray(ops)
+    size = family.shape[0] if family.ndim else 0
+    if family.shape != (size, size, rho.dim, rho.dim):
+        raise ValueError(f"operator family must have shape (k, k, {rho.dim}, {rho.dim}), got {family.shape}")
+    entries = np.einsum("ji,abij->ab", rho.entries, family)
     if hermiticity_residual(entries) > HERMITICITY_TOL:
         raise ValueError(
             "trace pairings are not Hermitian; the operator family must satisfy "

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._validated import store_validated
+from ._validated import store_validated, whole_number
 
 if TYPE_CHECKING:
     from .gaussian_cv import CovarianceMatrix
@@ -53,6 +53,7 @@ class HermitianMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", whole_number(self.dim, "dim", 1))
         store_validated(self, "entries", (self.dim, self.dim), complex, "matrix", hermitian=True)
 
     def trace(self) -> float:

@@ -73,6 +73,7 @@ class GridSpec:
         if (n := self.points_per_axis) > MAX_POINTS:
             raise ValueError(f"points_per_axis {n} exceeds the limit {MAX_POINTS}: a round trip "
                              f"through the transforms would need {1e-9 * _TRANSFORM_BYTES_PER_POINT * n * n:.3g} GB")
+        object.__setattr__(self, "points_per_axis", whole_number(n, "points_per_axis", 16))
 
     @property
     def step(self) -> float:
@@ -173,44 +174,37 @@ def eval_fock_wigner(state: AnalyticWigner, q, p):
 
     Returns:
         scale^2 * W_n at the squeezed-and-scaled arguments, where
-        W_0 = 2 exp(-q^2 - p^2), W_1 = 2 (2q^2 + 2p^2 - 1) exp(-q^2 - p^2),
-        and W_n = 2 (-1)^n L_n(2q^2 + 2p^2) exp(-q^2 - p^2) for n >= 2: an
-        array of the broadcast shape of q and p, or a numpy scalar for scalars.
+        W_n = 2 M_n(2q^2 + 2p^2) exp(-q^2 - p^2) for every n >= 0 and
+        M_n = (-1)^n L_n is the signed Laguerre polynomial of :func:`_laguerre`:
+        an array of the broadcast shape of q and p, or a numpy scalar for scalars.
     """
     lam = state.scale
     qq = lam * state.squeeze * np.asarray(q, dtype=float)
     pp = lam * np.asarray(p, dtype=float) / state.squeeze
-    # the closed forms' operations in their order, in place in two buffers of the broadcast
-    # shape: a column q and a row p then allocate no coordinate mesh and no temporary
+    # in place in buffers of the broadcast shape: a column q and a row p then allocate
+    # no coordinate mesh and no temporary
     r2 = np.add(qq * qq, pp * pp, out=np.empty(np.broadcast_shapes(qq.shape, pp.shape)))
     gauss = np.negative(r2, out=np.empty_like(r2))
     np.exp(gauss, out=gauss)
-    n = state.fock_index
-    # n = 0 and 1 equal _laguerre bit for bit, but skip its three extra buffers, which raise sampling's peak RSS
-    if n == 0:
-        base = gauss
-        base *= 2.0
-    elif n == 1:
-        base = r2
-        base *= 2.0
-        base -= 1.0
-        base *= 2.0
-        base *= gauss
-    else:
-        r2 *= 2.0
-        base = _laguerre(n, r2)
-        base *= 2.0 * (-1.0) ** n
-        base *= gauss
+    r2 *= 2.0
+    base = _laguerre(state.fock_index, r2)
+    base *= 2.0
+    base *= gauss
     base *= lam * lam
     return base[()]
 
 
 def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
-    """Laguerre polynomial L_n(x), n >= 1, by the recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
+    """Signed Laguerre polynomial M_n(x) = (-1)^n L_n(x), n >= 0.
+
+    Runs the recurrence (k+1) M_{k+1} = (x - 2k - 1) M_k - k M_{k-1} from
+    M_{-1} = 0 and M_0 = 1. The sign lives inside the recurrence: M_1 = x - 1
+    reads +0.0 at x = 1, where -(1 - x) would read -0.0.
+    """
     # three buffers in rotation, updated in place: a new temporary per operation doubles the time
-    prev, cur, nxt = np.ones_like(x), np.subtract(1.0, x, out=np.empty_like(x)), np.empty_like(x)
-    for k in range(1, n):
-        np.subtract(2 * k + 1, x, out=nxt)
+    prev, cur, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    for k in range(n):
+        np.subtract(x, 2 * k + 1, out=nxt)
         nxt *= cur
         prev *= k
         nxt -= prev

@@ -86,6 +86,11 @@ class TestLadderOperators:
         with pytest.raises(ValueError):
             ladder_operators(1)
 
+    def test_integral_float_dim_is_its_integer(self):
+        q, p = ladder_operators(3.0)
+        assert type(q.dim) is int and type(p.dim) is int and q.dim == 3
+        np.testing.assert_array_equal(q.entries, ladder_operators(3)[0].entries)
+
 
 class TestProjectState:
     def test_ground_state_projection(self):
@@ -209,8 +214,14 @@ class TestMomentMatrix:
         np.testing.assert_allclose(m.entries, [[1.0, 0.5j], [-0.5j, 1.0]], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            moment_matrix(fock_projection(0, dim=16), quadrature_pair_operators(8))
+        rho = fock_projection(0, dim=8)
+        q, p = ladder_operators(8)
+        qq, qp = quadrature_pair_operators(8)[0]
+        for family in (quadrature_pair_operators(16),  # operators of another dimension
+                       [[qq, qp]],  # not a square matrix of operators
+                       [[q, q], [p, p]]):  # HermitianMatrix values, not arrays
+            with pytest.raises(ValueError, match="shape"):
+                moment_matrix(rho, family)
 
     def test_non_hermitian_family_rejected(self):
         q, p = ladder_operators(8)

@@ -320,6 +320,16 @@ class TestHermitianMatrixType:
         with pytest.raises(ValueError):
             HermitianMatrix(3, np.eye(2))
 
+    @pytest.mark.parametrize("dim", [2.0, np.float64(2), np.int64(2)], ids=["float", "float64", "int64"])
+    def test_integral_dim_is_its_integer(self, dim):
+        h = HermitianMatrix(dim, np.eye(2))
+        assert type(h.dim) is int and h.dim == 2
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, np.nan])
+    def test_empty_fractional_or_negative_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be (positive|an integer), got {dim}"):
+            HermitianMatrix(dim, np.zeros((0, 0)))
+
     def test_trace_is_the_real_diagonal_sum(self):
         trace = hermitian_from([[1.5, 2.0j], [-2.0j, -0.25]]).trace()
         assert isinstance(trace, float) and trace == 1.25

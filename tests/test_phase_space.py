@@ -112,8 +112,19 @@ def full_range_density_to_wigner(rho):
     return 2.0 * h * (diagonals.real @ np.cos(phase) + diagonals.imag @ np.sin(phase))
 
 
+def unsigned_laguerre(n, x):
+    """Reference: L_n(x), n >= 1, by the recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} from L_0 = 1."""
+    prev, cur = np.ones_like(x), 1.0 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur
+
+
 def mesh_fock_wigner(state, spec):
-    """Reference: the sampled grid as first written, the closed forms over two n x n meshes."""
+    """Reference: the sampled grid as first written over two n x n meshes.
+
+    n = 0 and 1 take their closed forms, and n >= 2 the unsigned recurrence.
+    """
     Q, P = np.meshgrid(spec.axis(), spec.axis(), indexing="ij")
     lam = state.scale
     qq = lam * state.squeeze * Q
@@ -125,7 +136,7 @@ def mesh_fock_wigner(state, spec):
     elif n == 1:
         base = 2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)
     else:
-        base = 2.0 * (-1.0) ** n * phase_space._laguerre(n, 2.0 * r2) * np.exp(-r2)
+        base = 2.0 * (-1.0) ** n * unsigned_laguerre(n, 2.0 * r2) * np.exp(-r2)
     return lam * lam * base
 
 
@@ -146,13 +157,19 @@ class TestTypes:
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(-1.0, 64)
-        with pytest.raises(ValueError):
-            GridSpec(8.0, 8)
-        with pytest.raises(ValueError):
-            GridSpec(8.0, 33)
+        for points in (8, 33, 64.5, -16.0, np.nan, np.inf):  # refused before the count becomes an int
+            with pytest.raises(ValueError, match=f"points_per_axis must be even and >= 16, got {points}"):
+                GridSpec(8.0, points)
         for extent in (float("inf"), float("nan"), 0.0):
             with pytest.raises(ValueError, match="extent must be positive and finite"):
                 GridSpec(extent, 16)
+
+    @pytest.mark.parametrize("points", [64.0, np.float64(64), np.int64(64)], ids=["float", "float64", "int64"])
+    def test_integral_point_count_is_its_integer(self, points):
+        spec = GridSpec(8.0, points)
+        assert type(spec.points_per_axis) is int and spec == GridSpec(8.0, 64)
+        np.testing.assert_array_equal(sample_to_grid(AnalyticWigner(1), spec).values,
+                                      sample_to_grid(AnalyticWigner(1), GridSpec(8.0, 64)).values)
 
     def test_grid_axis_is_cell_centered(self):
         spec = GridSpec(8.0, 16)
@@ -222,13 +239,13 @@ class TestEvalFockWigner:
         )
 
     def test_laguerre_branch_matches_low_order_forms(self):
-        # n = 1 evaluated through the generic Laguerre path
+        # n = 1 evaluated through the recurrence
         state = AnalyticWigner(1)
         q = np.linspace(-2, 2, 17)
         expected = 2.0 * (2 * q**2 + 2 * 0.3**2 - 1) * np.exp(-(q**2) - 0.3**2)
         np.testing.assert_allclose(eval_fock_wigner(state, q, 0.3), expected, atol=1e-14)
 
-    @pytest.mark.parametrize("n", range(2, 31))
+    @pytest.mark.parametrize("n", range(0, 31))
     def test_laguerre_recurrence_matches_scipy(self, n):
         q = np.sqrt(np.linspace(0.0, 100.0, 2001))
         r2 = q * q
@@ -278,6 +295,14 @@ class TestSampling:
         x = spec.axis()
         assert np.array_equal(got, eval_fock_wigner(state, x[:, None], x).view(np.int64))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_equals_the_mesh_reference_where_twice_r2_is_one(self, n):
+        # the axis holds +-0.5, so 2 r^2 = 1 exactly at four cells, where W_1 = 0: the closed
+        # form reads +0.0 there, and an unsigned L_1 = 1 - x times -2 would read -0.0
+        spec = GridSpec(8.0, 16)
+        got = sample_to_grid(AnalyticWigner(n), spec).values
+        assert np.array_equal(got.view(np.int64), mesh_fock_wigner(AnalyticWigner(n), spec).view(np.int64))
+
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_eval_returns_a_scalar_or_the_broadcast_shape(self, n):
         state = AnalyticWigner(n, 0.7, 1.3)
@@ -290,9 +315,9 @@ class TestSampling:
     @pytest.mark.parametrize("n,quarter_buffers", [(0, 2), (1, 2), (2, 5), (5, 5)])
     def test_peak_memory_at_1024_points(self, n, quarter_buffers):
         # the mirrored grid and the quadrant it mirrors, 1.25 grids, which GridWigner stores
-        # without a copy; the closed forms' quarter-grid buffers (two, and three more for the
-        # Laguerre recurrence) are freed before the grid exists, so the peak is the larger of
-        # the two (1.251-1.252 grids measured for every n); the allowance covers the
+        # without a copy; every n holds the recurrence's buffers while it is evaluated, five
+        # quarter grids with r^2 and the Gaussian, which are freed before the grid exists, so
+        # the peak is 1.25 grids for every n (1.252 measured); the allowance covers the
         # axis-length vectors
         spec = GridSpec(8.0, 1024)
         grid_bytes = 8 * 1024**2
