@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: largest accepted max |M - M^dag| of a Hermitian or symmetric input
@@ -25,10 +27,26 @@ def hermiticity_residual(array: np.ndarray) -> float:
     """
     n = array.shape[0]
     if n <= _RESIDUAL_BLOCK:  # same value as the blocked loop, whose overhead slows scans of small matrices
-        return float(np.abs(array - array.conj().T).max())
+        diff = array - array.conj().T
+        # an exactly Hermitian array, as wigscale builds them, reads 0 without the |.| pass;
+        # NaN is nonzero, and so is inf - inf, so a non-finite entry still takes the pass
+        return float(np.abs(diff).max()) if np.count_nonzero(diff) else 0.0
     diffs = (array[start:start + _RESIDUAL_BLOCK, start:] - array[start:, start:start + _RESIDUAL_BLOCK].conj().T
              for start in range(0, n, _RESIDUAL_BLOCK))
     return float(np.max([np.abs(diff).max() for diff in diffs]))
+
+
+def check_tolerance(tol) -> None:
+    """Refuse a relative tolerance that is not finite and nonnegative.
+
+    A NaN tolerance would call every matrix indefinite, a negative one would
+    flag the vacuum, and an infinite one would call every matrix positive.
+
+    Raises:
+        ValueError: for NaN, an infinity or a negative value.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
 def whole_number(value, name: str, low: int) -> int:

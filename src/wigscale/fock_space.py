@@ -146,11 +146,13 @@ def moment_matrix(rho: HermitianMatrix, ops: np.typing.ArrayLike) -> HermitianMa
             satisfy A_ji = A_ij^dag so that M is Hermitian.
 
     Raises:
-        ValueError: on a family of any other shape, or one whose pairing
-            matrix is not Hermitian.
+        ValueError: on an empty family, a family of any other shape, or one
+            whose pairing matrix is not Hermitian.
     """
     family = np.asarray(ops)
     size = family.shape[0] if family.ndim else 0
+    if not size:
+        raise ValueError("operator family must hold at least one operator")
     if family.shape != (size, size, rho.dim, rho.dim):
         raise ValueError(f"operator family must have shape (k, k, {rho.dim}, {rho.dim}), got {family.shape}")
     entries = np.einsum("ji,abij->ab", rho.entries, family)

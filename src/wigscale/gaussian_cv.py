@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from ._validated import store_validated, whole_number
+from ._validated import check_tolerance, store_validated, whole_number
 
 __all__ = [
     "CovarianceMatrix",
@@ -127,13 +127,18 @@ def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float)
     """
     idx = _check_mode(cov, mode)
     q, p = idx, cov.modes + idx
-    diag = np.ones(2 * cov.modes)
-    diag[q] = dq
-    diag[p] = dp
-    scaled = diag[:, None] * cov.matrix * diag[None, :]
-    # (d_i S_ij) d_j and (d_j S_ji) d_i round apart only where both factors differ from 1,
+    scaled = cov.matrix.copy()
+    # rows, then columns: entry (i, j) becomes (S_ij d_i) d_j, the product of D S D bit for bit,
+    # and a factor of exactly 1 changes no bit, so only the mode's rows and columns are touched
+    for view in (scaled, scaled.T):
+        if dq != 1.0:
+            view[q] *= dq
+        if dp != 1.0:
+            view[p] *= dp
+    # (S_ij d_i) d_j and (S_ji d_j) d_i round apart only where both factors differ from 1,
     # off the diagonal that is the mode's q-p pair alone: mirror it, so D S D is exactly symmetric
     scaled[p, q] = scaled[q, p]
+    scaled.setflags(write=False)  # frozen and owning its memory: the covariance stores it without a copy
     return CovarianceMatrix(cov.modes, scaled)
 
 
@@ -195,13 +200,12 @@ def separability_scan(
 
     Raises:
         ValueError: invalid input state, empty grid, zero or non-finite
-            lambda, mode indices outside 1..N or not whole, or a negative
-            tolerance.
+            lambda, mode indices outside 1..N or not whole, or a tolerance
+            that is not finite and nonnegative.
         ScaleOverflowError: naming the first lambda in grid order whose
             scaled covariance overflows; no eigenvalue is computed before it.
     """
-    if not tol >= 0.0:  # a negative tolerance would flag every state, the vacuum included
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    check_tolerance(tol)
     lam_values = [float(lam) for lam in lam_grid]
     if not lam_values:
         raise ValueError("lambda grid must not be empty")

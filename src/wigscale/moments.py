@@ -8,12 +8,13 @@ sigma_qq * sigma_pp - sigma_qp^2 >= 1/4 (hbar = 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._validated import store_validated, whole_number
+from ._validated import check_tolerance, store_validated, whole_number
 
 if TYPE_CHECKING:
     from .gaussian_cv import CovarianceMatrix
@@ -113,8 +114,17 @@ def multimode_uncertainty_matrix(cov: CovarianceMatrix) -> HermitianMatrix:
     Positivity of the result is the multimode uncertainty relation; its
     failure certifies that no quantum state has these second moments.
     """
-    entries = cov.matrix + 0.5j * symplectic_form(cov.modes)
+    entries = cov.matrix + _half_i_form(cov.modes)
+    entries.setflags(write=False)  # frozen and owning its memory: stored without a copy
     return HermitianMatrix(2 * cov.modes, entries)
+
+
+@functools.lru_cache(maxsize=8)
+def _half_i_form(modes: int) -> np.ndarray:
+    """(i/2) J, built once per mode count and read-only, since every caller shares it."""
+    form = 0.5j * symplectic_form(modes)
+    form.setflags(write=False)
+    return form
 
 
 def det_bound(cov: CovarianceMatrix) -> tuple[float, float]:
@@ -132,11 +142,16 @@ def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
 
     Args:
         h: matrix under test.
-        tol: relative tolerance; the verdict is min_eig >= -tol * max(1, sup norm).
+        tol: finite, nonnegative relative tolerance; the verdict is
+            min_eig >= -tol * max(1, sup norm).
 
     Returns:
         (verdict, minimum eigenvalue).
+
+    Raises:
+        ValueError: for a tolerance that is NaN, infinite or negative.
     """
+    check_tolerance(tol)
     eigenvalues = np.linalg.eigvalsh(h.entries)
     scale = max(1.0, float(np.abs(h.entries).max()))
     min_eig = float(eigenvalues[0])

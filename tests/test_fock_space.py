@@ -223,6 +223,11 @@ class TestMomentMatrix:
             with pytest.raises(ValueError, match="shape"):
                 moment_matrix(rho, family)
 
+    @pytest.mark.parametrize("family", [[], np.zeros((0, 0, 8, 8))])
+    def test_empty_family_rejected(self, family):
+        with pytest.raises(ValueError, match="^operator family must hold at least one operator$"):
+            moment_matrix(fock_projection(0, dim=8), family)
+
     def test_non_hermitian_family_rejected(self):
         q, p = ladder_operators(8)
         qp = q.entries @ p.entries

@@ -331,6 +331,12 @@ class TestScanPositivityRule:
         with pytest.raises(ValueError, match="nonnegative"):
             separability_scan(vacuum(2), {2}, [-1.0], tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite tolerance once excused the squeezed vacuum's partial transpose as no_violation
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and nonnegative, got {tol}$"):
+            separability_scan(two_mode_squeezed(1.0), {2}, [-1.0], tol=tol)
+
     def test_any_lambda_beyond_one_is_outside_the_criterion(self):
         lam = -1.0 - 1e-13
         report = separability_scan(two_mode_squeezed(1.0), {2}, [lam])

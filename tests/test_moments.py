@@ -264,6 +264,16 @@ class TestIsPsd:
             ok, min_eig = is_psd(hermitian_from(raw @ raw.conj().T + 0.1 * np.eye(dim)))
             assert ok and min_eig > 0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # NaN would call the identity not PSD, and inf or a negative value would decide anything
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            is_psd(hermitian_from(np.eye(2)), tol)
+
+    def test_zero_tolerance_is_the_sign_rule(self):
+        assert is_psd(hermitian_from(np.eye(2)), 0.0)[0]
+        assert not is_psd(hermitian_from([[1.0, 0.0], [0.0, -1e-300]]), 0.0)[0]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0])

@@ -475,3 +475,121 @@ def test_scan_equals_the_one_loop_scan_or_refuses_before_any_eigen_solve(case, g
     assert report.lam_grid == grid
     assert np.array_equal(np.array(report.min_eigenvalues).view(np.int64), np.array(lows).view(np.int64))
     assert (report.violations, report.outside_criterion, report.verdict) == (violations, outside, verdict)
+
+
+def broadcast_congruence(sigma, modes, idx, dq, dp):
+    """D Sigma D as two broadcast products with a diagonal of ones, the q-p entry of `idx` mirrored."""
+    q, p = idx, modes + idx
+    diag = np.ones(2 * modes)
+    diag[q], diag[p] = dq, dp
+    scaled = diag[:, None] * sigma * diag[None, :]
+    scaled[p, q] = scaled[q, p]
+    return scaled
+
+
+# ones, signs, moderate values, and magnitudes whose squares overflow or underflow a float
+congruence_factors = st.one_of(
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-1e3, 1e3),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]), st.floats(1e150, 1e160)),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]), st.floats(1e-160, 1e-150)),
+)
+
+
+@SETTINGS
+@given(
+    modes=st.integers(1, 4),
+    data=st.data(),
+    dq=congruence_factors,
+    dp=congruence_factors,
+)
+def test_in_place_congruence_is_the_broadcast_product(modes, data, dq, dp):
+    # rows then columns in place, skipping a factor of 1, must round every entry as the broadcast
+    # product does; an entry that overflows must be refused as before
+    size = 2 * modes
+    upper = data.draw(arrays(float, (size, size), elements=st.floats(-1e3, 1e3) | st.floats(-1e300, 1e300)))
+    sigma = np.triu(upper) + np.triu(upper, 1).T
+    cov = gaussian_cv.CovarianceMatrix(modes, sigma)
+    mode = data.draw(st.integers(1, modes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = broadcast_congruence(cov.matrix, modes, mode - 1, dq, dp)
+        if not np.isfinite(expected).all():
+            with pytest.raises(ValueError, match="^covariance matrix contains non-finite values$"):
+                gaussian_cv._diagonal_congruence(cov, mode, dq, dp)
+            return
+        scaled = gaussian_cv._diagonal_congruence(cov, mode, dq, dp)
+    assert np.array_equal(scaled.matrix.view(np.int64), expected.view(np.int64))
+    assert not scaled.matrix.flags.writeable
+    assert np.array_equal(cov.matrix, sigma)  # the input is not written
+
+
+def test_congruence_mirrors_the_rounding_of_the_q_p_entry():
+    # (1.73 * 0.16) * 1.49 and (1.73 * 1.49) * 0.16 differ in the last bit, and their mean
+    # rounds to the second: both entries must hold the first, the one of the broadcast product
+    cov = gaussian_cv.CovarianceMatrix(1, np.array([[1.0, 1.73], [1.73, 1.0]]))
+    scaled = gaussian_cv._diagonal_congruence(cov, 1, 0.16, 1.49)
+    assert (1.73 * 0.16) * 1.49 != (1.73 * 1.49) * 0.16
+    assert scaled.matrix[0, 1].hex() == scaled.matrix[1, 0].hex() == ((1.73 * 0.16) * 1.49).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_states(), st.lists(nonzero, min_size=1, max_size=8))
+def test_scan_points_match_the_broadcast_per_point_form(case, grid):
+    # each point built as broadcast products and a fresh (i/2) J, solved with eigvalsh
+    cov, partition = case
+    modes = cov.modes
+    half_i_form = 0.5j * np.block([[np.zeros((modes, modes)), np.eye(modes)], [-np.eye(modes), np.zeros((modes, modes))]])
+    lows, violations = [], []
+    for lam in grid:
+        scaled = cov.matrix
+        for mode in sorted(partition):
+            scaled = broadcast_congruence(scaled, modes, mode - 1, 1.0, 1.0 / lam)
+        h = scaled + half_i_form
+        lows.append(float(np.linalg.eigvalsh(h)[0]))
+        if abs(lam) <= 1.0 and not lows[-1] >= -moments.PSD_TOL * max(1.0, float(np.abs(h).max())):
+            violations.append(lam)
+    report = gaussian_cv.separability_scan(cov, partition, grid)
+    assert np.array_equal(np.array(report.min_eigenvalues).view(np.int64), np.array(lows).view(np.int64))
+    assert report.violations == violations
+
+
+@SETTINGS
+@given(
+    size=st.integers(1, 64),
+    complex_valued=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    change=st.sampled_from(["none", "skew", "nan", "inf"]),
+    data=st.data(),
+)
+def test_small_residual_is_the_whole_difference(size, complex_valued, seed, change, data):
+    # up to one block an exactly Hermitian array reads 0 without the |.| pass; every other
+    # array, one holding NaN or inf included, reads the whole difference's maximum
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((size, size))
+    if complex_valued:
+        x = x + 1j * rng.standard_normal((size, size))
+    values = x + x.conj().T
+    zeros = rng.random((size, size)) < 0.3
+    signed_zeros = np.copysign(0.0, rng.standard_normal((zeros.sum(), 2)))  # real and imaginary parts
+    values[zeros] = (signed_zeros.view(complex) if complex_valued else signed_zeros)[:, 0]
+    values[zeros.T & ~zeros] = 0.0
+    if change != "none":
+        k, m = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        values[k, m] = {"skew": values[k, m] + 1e-9, "nan": np.nan, "inf": np.inf}[change]
+    else:
+        assert hermiticity_residual(values) == 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert np.array_equal(hermiticity_residual(values), np.abs(values - values.conj().T).max(), equal_nan=True)
+
+
+def test_cached_half_i_form_is_read_only_and_symplectic_form_is_fresh():
+    uncertainty = moments.multimode_uncertainty_matrix(gaussian_cv.vacuum(3))
+    assert np.array_equal(uncertainty.entries, 0.5 * np.eye(6) + 0.5j * moments.symplectic_form(3))
+    with pytest.raises(ValueError, match="read-only"):
+        moments._half_i_form(3)[0, 3] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        uncertainty.entries[0, 0] = 1.0
+    form = moments.symplectic_form(3)
+    form[0, 3] = 7.0  # the caller's own array
+    assert moments.symplectic_form(3)[0, 3] == 1.0
+    assert np.array_equal(moments.multimode_uncertainty_matrix(gaussian_cv.vacuum(3)).entries, uncertainty.entries)
