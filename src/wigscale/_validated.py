@@ -62,13 +62,23 @@ def whole_number(value, name: str, low: int) -> int:
     return int(value)
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """Make an array its caller just allocated read-only, and return it.
+
+    The one hand-over to store_validated: a read-only, C-contiguous array that
+    owns its memory is stored without a copy, since no view can write to it.
+    """
+    array.setflags(write=False)
+    return array
+
+
 def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: bool = False) -> None:
     """Check field `attr` of frozen dataclass `obj` and replace it by a read-only, C-contiguous array.
 
     With `hermitian`, stores the exact Hermitian (real: symmetric) part. Any
     other array is copied, unless it is read-only, C-contiguous and owns its
-    memory, as the arrays that wigscale allocates and freezes are: then no view
-    can write to it, and it is stored as it is.
+    memory, as the arrays that wigscale allocates and passes through `frozen`
+    are: then no view can write to it, and it is stored as it is.
 
     Raises:
         ValueError: on a shape other than `shape`, a non-finite entry, or,
@@ -90,5 +100,4 @@ def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: b
         out = np.array(array, order="C")  # exactly Hermitian already, or not required to be
     else:
         out = array
-    out.setflags(write=False)
-    object.__setattr__(obj, attr, out)
+    object.__setattr__(obj, attr, frozen(out))

@@ -180,12 +180,8 @@ def _parse_lambda_grid(token: str) -> np.ndarray:
     for number in numbers:
         if not math.isfinite(number):
             raise ValueError(f"lambda grid values must be finite, got {number}")
-    values = np.linspace(numbers[0], numbers[1], count) if spaced else np.array(numbers)
-    if values.size == 0:
-        raise ValueError("lambda grid is empty")
-    if np.any(values == 0.0):
-        raise ValueError("lambda grid must not contain 0 (degenerate map)")
-    return np.sort(values)
+    # an empty grid and a zero are the scan's to refuse
+    return np.sort(np.linspace(numbers[0], numbers[1], count) if spaced else np.array(numbers))
 
 
 def _load_covariance(path: str) -> gaussian_cv.CovarianceMatrix:

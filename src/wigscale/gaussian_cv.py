@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from ._validated import check_tolerance, store_validated, whole_number
+from ._validated import check_tolerance, frozen, store_validated, whole_number
 
 __all__ = [
     "CovarianceMatrix",
@@ -60,22 +60,23 @@ class SeparabilityReport:
     |lambda| <= 1 whose scaled uncertainty matrix fails is_psd; only those
     drive the verdict. Grid points with |lambda| > 1 are permitted but the
     criterion proves nothing there (even the vacuum goes negative), so they
-    are reported separately in `outside_criterion`.
+    are reported separately in `outside_criterion`. Both `verdict` and
+    `outside_criterion` are derived at construction, so no report can
+    contradict its violations or its grid.
     """
 
     lam_grid: list[float]
     min_eigenvalues: list[float]
     violations: list[float]
-    verdict: str
-    outside_criterion: list[float]
+    verdict: str = field(init=False)
+    outside_criterion: list[float] = field(init=False)
     tol: float
 
     def __post_init__(self):
         if len(self.lam_grid) != len(self.min_eigenvalues):
             raise ValueError("lam_grid and min_eigenvalues must have equal length")
-        expected = "entanglement_detected" if self.violations else "no_violation"
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} inconsistent with violations")
+        object.__setattr__(self, "verdict", "entanglement_detected" if self.violations else "no_violation")
+        object.__setattr__(self, "outside_criterion", [lam for lam in self.lam_grid if abs(lam) > 1.0])
 
 
 class ScaleOverflowError(ValueError, ArithmeticError):
@@ -138,8 +139,7 @@ def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float)
     # (S_ij d_i) d_j and (S_ji d_j) d_i round apart only where both factors differ from 1,
     # off the diagonal that is the mode's q-p pair alone: mirror it, so D S D is exactly symmetric
     scaled[p, q] = scaled[q, p]
-    scaled.setflags(write=False)  # frozen and owning its memory: the covariance stores it without a copy
-    return CovarianceMatrix(cov.modes, scaled)
+    return CovarianceMatrix(cov.modes, frozen(scaled))
 
 
 def squeeze_symplectic(cov: CovarianceMatrix, mode: int, kappa: float) -> CovarianceMatrix:
@@ -199,9 +199,10 @@ def separability_scan(
         tol: relative tolerance of the :func:`moments.is_psd` test at each point.
 
     Raises:
-        ValueError: invalid input state, empty grid, zero or non-finite
-            lambda, mode indices outside 1..N or not whole, or a tolerance
-            that is not finite and nonnegative.
+        ValueError: invalid input state, empty grid, the first zero or
+            non-finite lambda in grid order (named), mode indices outside
+            1..N or not whole, or a tolerance that is not finite and
+            nonnegative.
         ScaleOverflowError: naming the first lambda in grid order whose
             scaled covariance overflows; no eigenvalue is computed before it.
     """
@@ -209,9 +210,9 @@ def separability_scan(
     lam_values = [float(lam) for lam in lam_grid]
     if not lam_values:
         raise ValueError("lambda grid must not be empty")
-    if any(lam == 0.0 for lam in lam_values):
-        raise ValueError("scaling parameters must be nonzero")
     for lam in lam_values:
+        if lam == 0.0:
+            raise ValueError(f"scaling parameters must be nonzero, got {lam}")
         if not math.isfinite(lam):
             raise ValueError(f"scaling parameters must be finite, got {lam}")
     modes = sorted(set(mode_partition))
@@ -238,23 +239,12 @@ def separability_scan(
 
     min_eigenvalues = []
     violations = []
-    outside = []
     for lam, scaled in zip(lam_values, points):
         ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
         min_eigenvalues.append(low)
-        if abs(lam) > 1.0:
-            outside.append(lam)
-        elif not ok:
+        if not ok and abs(lam) <= 1.0:
             violations.append(lam)
-    verdict = "entanglement_detected" if violations else "no_violation"
-    return SeparabilityReport(
-        lam_grid=lam_values,
-        min_eigenvalues=min_eigenvalues,
-        violations=violations,
-        verdict=verdict,
-        outside_criterion=outside,
-        tol=tol,
-    )
+    return SeparabilityReport(lam_values, min_eigenvalues, violations, tol)
 
 
 def interleaved_to_block(matrix: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._validated import check_tolerance, store_validated, whole_number
+from ._validated import check_tolerance, frozen, store_validated, whole_number
 
 if TYPE_CHECKING:
     from .gaussian_cv import CovarianceMatrix
@@ -114,9 +114,7 @@ def multimode_uncertainty_matrix(cov: CovarianceMatrix) -> HermitianMatrix:
     Positivity of the result is the multimode uncertainty relation; its
     failure certifies that no quantum state has these second moments.
     """
-    entries = cov.matrix + _half_i_form(cov.modes)
-    entries.setflags(write=False)  # frozen and owning its memory: stored without a copy
-    return HermitianMatrix(2 * cov.modes, entries)
+    return HermitianMatrix(2 * cov.modes, frozen(cov.matrix + _half_i_form(cov.modes)))
 
 
 @functools.lru_cache(maxsize=8)

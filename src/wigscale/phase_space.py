@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validated import NORM_TOL, store_validated, whole_number
+from ._validated import NORM_TOL, frozen, store_validated, whole_number
 
 __all__ = [
     "GridSpec",
@@ -262,13 +262,7 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec) -> GridWigner:
     values[:half, half:] = quadrant[:, ::-1]
     del quadrant
     values[half:] = values[half - 1::-1]
-    return GridWigner(spec, _frozen(values))
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Make a freshly allocated array read-only, so the validated type stores it without a copy."""
-    array.setflags(write=False)
-    return array
+    return GridWigner(spec, frozen(values))
 
 
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -316,7 +310,7 @@ def _diagonal_map(w: GridWigner, a: float, b: float) -> GridWigner:
     k = np.arange(w.spec.points_per_axis) - center
     values = _interpolate(w, a * k[:, None] + center, b * k + center)
     values *= det
-    return GridWigner(w.spec, _frozen(values))
+    return GridWigner(w.spec, frozen(values))
 
 
 def apply_scaling(w: GridWigner, lam: float) -> GridWigner:
@@ -452,7 +446,7 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     _fill_rows(rho.real, _scaled_product(w.values, np.cos, x, even_freqs, scale), 0)
     _fill_rows(rho.imag, _scaled_product(w.values, np.sin, x, even_freqs, scale), 0)
     _mirror_lower(rho)
-    return PositionDensity(w.spec, _frozen(rho))
+    return PositionDensity(w.spec, frozen(rho))
 
 
 def density_to_wigner(rho: PositionDensity) -> GridWigner:
@@ -494,4 +488,4 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     np.subtract(cos_part, sin_part, out=w[:, half - 1::-1])
     del cos_part, sin_part
     np.multiply(w, 2.0 * h, out=w)
-    return GridWigner(rho.spec, _frozen(w))
+    return GridWigner(rho.spec, frozen(w))

@@ -309,6 +309,15 @@ class TestSeparability:
         assert code == 2
         assert "0" in err
 
+    @pytest.mark.parametrize("grid,message", [("1:2:0", "lambda grid must not be empty"),
+                                              ("-1:1:41", "scaling parameters must be nonzero, got 0.0")])
+    def test_grid_refused_by_the_scan(self, capsys, tmp_path, grid, message):
+        path = tmp_path / "vac.json"
+        run(capsys, "tmsv", "--r", "0.0", "--out", str(path))
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "2", f"--lambda-grid={grid}")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestTmsv:
     def test_zero_squeezing_writes_vacuum(self, capsys):

@@ -9,6 +9,7 @@ from wigscale import moments, phase_space
 from wigscale.gaussian_cv import (
     CovarianceMatrix,
     ScaleOverflowError,
+    SeparabilityReport,
     default_lambda_grid,
     interleaved_to_block,
     is_valid_state,
@@ -227,11 +228,13 @@ class TestSeparabilityScan:
             separability_scan(vacuum(2), {2}, [])
 
     def test_zero_lambda_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            separability_scan(vacuum(2), {2}, [0.0, 1.0])
+        # the first bad lambda in grid order is named, here a zero before a non-finite value
+        for grid, named in (([0.0, 1.0], "0.0"), ([0.5, 0.0, np.nan], "0.0"), ([1.0, -0.0, np.inf], "-0.0")):
+            with pytest.raises(ValueError, match=f"^scaling parameters must be nonzero, got {named}$"):
+                separability_scan(vacuum(2), {2}, grid)
 
     @pytest.mark.parametrize("grid,named", [([np.nan], "nan"), ([-1.0, np.nan], "nan"), ([np.inf, -1.0], "inf"),
-                                            ([-np.inf], "-inf")])
+                                            ([-np.inf], "-inf"), ([np.nan, 0.0], "nan"), ([1.0, -np.inf, -0.0], "-inf")])
     def test_non_finite_lambda_named(self, grid, named):
         with pytest.raises(ValueError, match=f"must be finite, got {named}") as refused:
             separability_scan(two_mode_squeezed(1.0), {2}, grid)
@@ -312,6 +315,30 @@ class TestSeparabilityScan:
         sigma = product_sigma(random_single_mode_sigma(rng), random_single_mode_sigma(rng))
         report = separability_scan(CovarianceMatrix(2, sigma), {1, 2}, [0.5, -0.5])
         assert report.verdict == "no_violation"
+
+
+class TestSeparabilityReport:
+    def test_verdict_and_outside_criterion_derived(self):
+        report = SeparabilityReport([-2.0, -1.0, 0.5, 1.5], [-3.0, -0.4, 0.1, -1.0], [-1.0], 1e-10)
+        assert report.verdict == "entanglement_detected"
+        assert report.outside_criterion == [-2.0, 1.5]
+        quiet = SeparabilityReport([0.5, 1.0], [0.1, 0.2], [], 1e-10)
+        assert (quiet.verdict, quiet.outside_criterion) == ("no_violation", [])
+
+    @pytest.mark.parametrize("derived", ["verdict", "outside_criterion"])
+    def test_derived_fields_not_accepted(self, derived):
+        with pytest.raises(TypeError, match=derived):
+            SeparabilityReport([1.0], [0.1], [], 1e-10, **{derived: []})
+
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SeparabilityReport([-1.0, 1.0], [0.1], [], 1e-10)
+
+    def test_object_setattr_still_overrides_the_verdict(self):
+        # the benchmark's check is tested by flipping a returned report's verdict this way
+        report = separability_scan(two_mode_squeezed(1.0), {2}, [-1.0])
+        object.__setattr__(report, "verdict", "no_violation")
+        assert report.verdict == "no_violation" and report.violations == [-1.0]
 
 
 class TestScanPositivityRule:

@@ -1,5 +1,8 @@
 """Property tests for the diagonal phase-space map, its action on moments and the validated types."""
 
+import contextlib
+import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import fock_grid
-from wigscale import fock_space, gaussian_cv, moments, phase_space
+from wigscale import cli, fock_space, gaussian_cv, moments, phase_space
 from wigscale._validated import HERMITICITY_TOL, hermiticity_residual
 from wigscale.phase_space import AnalyticWigner, GridSpec, _diagonal_map
 
@@ -378,13 +381,14 @@ class TestGridSize:
 
 
 @st.composite
-def gaussian_states(draw, min_modes=2):
-    """A valid N-mode covariance S diag(nu, nu) S^T (Williamson form), min_modes <= N <= 4, and a mode subset to scale.
+def gaussian_states(draw, min_modes=2, max_modes=4):
+    """A valid N-mode covariance S diag(nu, nu) S^T (Williamson form), min_modes <= N <= max_modes,
+    and a mode subset to scale.
 
     S = O_2 Z O_1 with Z a squeeze and O_k passive (orthogonal symplectic) maps
     built from random unitaries; every symplectic eigenvalue nu is >= 1/2.
     """
-    modes = draw(st.integers(min_modes, 4))
+    modes = draw(st.integers(min_modes, max_modes))
     unit = st.floats(-1.0, 1.0)
 
     def passive():
@@ -425,6 +429,35 @@ class TestScanStructure:
         assert all(flag == negative for flag, negative in clear)
         flags = [flag for flag, _ in clear]
         assert flags == sorted(flags, reverse=True)  # violations first, then none
+
+
+# lambda inside the criterion, beyond it, and its two edges
+criterion_lambdas = st.one_of(
+    st.floats(-1.0, 1.0).filter(lambda lam: abs(lam) > 0.05),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]), st.floats(1.0, 3.0, exclude_min=True)),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_states(max_modes=3), st.lists(criterion_lambdas, min_size=1, max_size=8), st.data())
+def test_cli_rows_follow_the_report(tmp_path_factory, case, grid, data):
+    cov, partition = case
+    grid = grid + data.draw(st.lists(st.sampled_from(grid), max_size=3))  # repeated values
+    path = tmp_path_factory.getbasetemp() / "scan_rows_cov.json"
+    path.write_text(json.dumps({"modes": cov.modes, "ordering": "q-block-p-block", "matrix": cov.matrix.tolist()}))
+    argv = ["separability", "--cov", str(path), "--modes", ",".join(map(str, sorted(partition))),
+            "--lambda-grid=" + ",".join(map(repr, grid)), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    payload = json.loads(out.getvalue())
+    report = gaussian_cv.separability_scan(cov, partition, grid)
+    assert payload["verdict"] == report.verdict
+    assert [row[0] for row in payload["rows"]] == sorted(grid)
+    for lam, _, violation, within in payload["rows"]:
+        assert violation == (lam in report.violations)
+        assert within == (abs(lam) <= 1.0)
 
 
 def one_loop_scan(cov, partition, grid, tol=moments.PSD_TOL):
