@@ -45,6 +45,9 @@ _TRANSFORM_BYTES_PER_POINT = 32
 #: columns per FFT block of the half-cell shift
 _SHIFT_COLUMNS = 64
 
+#: output rows per block of the diagonal map's gathers, which then stay in cache
+_MAP_ROWS = 64
+
 #: rows and columns per tile of the mirror that fills rho's upper triangle
 _MIRROR_TILE = 64
 
@@ -268,29 +271,53 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec) -> GridWigner:
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of the grid at fractional cell indices (fi, fj); zero outside it.
 
-    fi is an (n, 1) column of row indices and fj a (1, n) row of column indices, which
-    broadcast to the (n, n) output. Only the flat corner indices ia + ja are n x n (a
-    broadcast sum, which `take` reads faster than an advanced index of the padded grid),
-    and the weights are the per-axis fractions, the same floats as in full arrays. When
-    every fraction is 0 (the identity, the reflections, -I) only the first corner is
-    gathered.
+    fi holds the n source rows of the output rows and fj the n source columns of the
+    output columns: the map is diagonal, so output row r reads source rows i0 and i0 + 1
+    of fi[r], and output column c source columns j0 and j0 + 1 of fj[c]. The grid is
+    padded with one ring of zeros, onto which clipped indices fall. For each block of
+    _MAP_ROWS output rows the two source rows are gathered once and scaled in place by
+    their weights 1 - ti and ti, and then each is gathered at both source columns and
+    scaled by 1 - tj or tj. Every output cell is thus the four-corner sum
+    v00 (1-ti)(1-tj) + v10 ti (1-tj) + v01 (1-ti) tj + v11 ti tj, each product taken as
+    (v wi) wj and summed left to right, which are the floating-point operations of the
+    full n x n form in its order, so the result equals it bit for bit, signs of zero
+    included. A block's gathers stay in cache, and no n x n index or weight is built.
+
+    When every fraction is 0 (the identity, the reflections, -I) every source is a cell
+    center and the grid is gathered at (i0, j0) with no arithmetic: the four-corner sum
+    would multiply by 1 and add +-0, which changes no bit unless the grid holds -0.0,
+    whose sign the gather keeps and the sum would turn to +0.0.
     """
     n = w.spec.points_per_axis
     i0, j0 = np.floor(fi), np.floor(fj)
     ti, tj = fi - i0, fj - j0
     # one ring of zeros around the grid; indices clipped onto the ring read 0
-    flat = np.pad(w.values, 1).ravel()
-    ia, ib = (np.clip(i, 0, n + 1).astype(np.intp) * (n + 2) for i in (i0 + 1, i0 + 2))
+    padded = np.pad(w.values, 1)
+    ia, ib = (np.clip(i, 0, n + 1).astype(np.intp) for i in (i0 + 1, i0 + 2))
     ja, jb = (np.clip(j, 0, n + 1).astype(np.intp) for j in (j0 + 1, j0 + 2))
-    corner = flat.take(ia + ja) * (1 - ti) * (1 - tj)
     if not (ti.any() or tj.any()):
-        # every source is a cell center: the other three weights are 0, and their terms
-        # add +-0, which changes no bit unless the grid holds -0.0 (then the sum reads +0.0)
-        return corner
-    corner += flat.take(ib + ja) * ti * (1 - tj)
-    corner += flat.take(ia + jb) * (1 - ti) * tj
-    corner += flat.take(ib + jb) * ti * tj
-    return corner
+        return padded[np.ix_(ia, ja)]
+    wi0, wi1 = (1 - ti)[:, None], ti[:, None]
+    wj0, wj1 = 1 - tj, tj
+    out = np.empty((n, n))
+    term = np.empty_like(out[:_MAP_ROWS])
+    for start in range(0, n, _MAP_ROWS):
+        rows = slice(start, start + _MAP_ROWS)
+        block = out[rows]
+        part = term[: len(block)]
+        row0 = padded.take(ia[rows], axis=0)
+        row0 *= wi0[rows]
+        row1 = padded.take(ib[rows], axis=0)
+        row1 *= wi1[rows]
+        # every index is in range, so mode="clip" changes none; it spares the copy of `out`
+        # that a bounds-checked take makes
+        np.take(row0, ja, axis=1, out=block, mode="clip")
+        block *= wj0
+        for source, cols, weight in ((row1, ja, wj0), (row0, jb, wj1), (row1, jb, wj1)):
+            np.take(source, cols, axis=1, out=part, mode="clip")
+            part *= weight
+            block += part
+    return out
 
 
 def _diagonal_map(w: GridWigner, a: float, b: float) -> GridWigner:
@@ -308,8 +335,9 @@ def _diagonal_map(w: GridWigner, a: float, b: float) -> GridWigner:
         raise ValueError(f"map parameters must be finite with a nonzero product, got a = {a}, b = {b}")
     center = 0.5 * (w.spec.points_per_axis - 1)
     k = np.arange(w.spec.points_per_axis) - center
-    values = _interpolate(w, a * k[:, None] + center, b * k + center)
-    values *= det
+    values = _interpolate(w, a * k + center, b * k + center)
+    if det != 1.0:
+        values *= det
     return GridWigner(w.spec, frozen(values))
 
 

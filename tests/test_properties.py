@@ -142,6 +142,59 @@ class TestLinearMap:
             _diagonal_map(grid(0, 8.0, 16), *A)
 
 
+# grids of several row blocks of the map's gathers; 130 points end in a partial block
+SEAM_POINTS = [130, 256]
+# fractional sources of both signs, sources outside the grid (|a| or |b| > 1), and maps with
+# fractions on one axis only
+SEAM_FRACTIONAL_MAPS = [(0.7, 0.55), (-0.83, 1.9), (1.3, -0.61), (-2.5, -0.45), (1.0, 0.5), (0.5, -1.0)]
+# every source a cell center: the four sign diagonals, and an odd a, whose sources are whole cells
+SEAM_CELL_CENTER_MAPS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (3.0, -1.0)]
+
+
+def with_seam_negative_zeros(values):
+    """A copy of `values` with -0.0 in scattered cells and in the rows beside each block seam."""
+    values = values.copy()
+    pts = len(values)
+    rng = np.random.default_rng(pts)
+    values[rng.integers(0, pts, 40), rng.integers(0, pts, 40)] = -0.0
+    for seam in range(phase_space._MAP_ROWS, pts, phase_space._MAP_ROWS):
+        values[seam - 1 : seam + 1, ::3] = -0.0
+    return values
+
+
+class TestRowBlockSeams:
+    """The map above one row block, bit for bit the masked reference, signs of zero included."""
+
+    @pytest.mark.parametrize("pts", SEAM_POINTS)
+    def test_grids_span_several_blocks(self, pts):
+        assert pts > 2 * phase_space._MAP_ROWS
+
+    @pytest.mark.parametrize("ab", SEAM_FRACTIONAL_MAPS)
+    @pytest.mark.parametrize("pts", SEAM_POINTS)
+    def test_fractional_maps_are_the_masked_reference(self, pts, ab):
+        a, b = ab
+        values = with_seam_negative_zeros(grid(3, 8.0, pts).values)
+        expected = abs(a * b) * masked_bilinear(values, *source_indices(pts, a, b))
+        out = _diagonal_map(phase_space.GridWigner(GridSpec(8.0, pts), values), a, b).values
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("ab", SEAM_CELL_CENTER_MAPS)
+    @pytest.mark.parametrize("pts", SEAM_POINTS)
+    def test_cell_center_maps_are_the_masked_reference(self, pts, ab):
+        w = grid(3, 8.0, pts)
+        expected = abs(ab[0] * ab[1]) * masked_bilinear(w.values, *source_indices(pts, *ab))
+        assert np.array_equal(_diagonal_map(w, *ab).values.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("ab", SEAM_CELL_CENTER_MAPS[:4])
+    @pytest.mark.parametrize("pts", SEAM_POINTS)
+    def test_sign_diagonals_keep_negative_zeros(self, pts, ab):
+        # the gather returns each cell as it is, -0.0 included: the grid reflected
+        values = with_seam_negative_zeros(grid(3, 8.0, pts).values)
+        out = _diagonal_map(phase_space.GridWigner(GridSpec(8.0, pts), values), *ab).values
+        a, b = (int(x) for x in ab)
+        assert np.array_equal(out.view(np.int64), values[::a, ::b].view(np.int64))
+
+
 def raw_moments(w):
     """Central second moments sum(x x^T W) dq dp / 2 pi, not divided by the norm.
 
