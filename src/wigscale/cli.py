@@ -105,6 +105,25 @@ def _closed_form_fidelity(lam: float) -> float:
     return 2.0 * lam**2 * (lam**2 - 1.0) / (1.0 + lam**2) ** 2
 
 
+def _finer_grid(args, state: phase_space.AnalyticWigner, extent: float) -> str:
+    """The options that resolve the ground state beside `state` on a grid of half-width `extent`."""
+    needed = 2 * math.ceil(extent / MAX_FIDELITY_H)  # even, as GridSpec requires
+    if needed <= phase_space.MAX_POINTS:
+        return f"use --grid {needed} or more"
+    widest = 0.5 * MAX_FIDELITY_H * phase_space.MAX_POINTS
+    default = phase_space.default_grid(state).extent
+    fixes = []
+    if args.extent is None or default > widest:
+        # the default extent grows as 1/lambda below lambda = 1; rounded up to three digits
+        lam_min = state.scale * default / widest
+        digit = 10.0 ** (math.floor(math.log10(lam_min)) - 2)
+        fixes.append(f"--lambda-min {math.ceil(lam_min / digit) * digit:.3g} or more")
+    if args.extent is not None:
+        fixes.append(f"--extent {widest:g} or less")
+    return (f"no grid within the limit of {phase_space.MAX_POINTS} points per axis resolves it at extent "
+            f"{extent:g}; use {' and '.join(fixes)} with --grid {phase_space.MAX_POINTS}")
+
+
 def _run_fidelity(args) -> str:
     if not (0.0 < args.lam_min < args.lam_max):
         raise ValueError("need 0 < --lambda-min < --lambda-max")
@@ -121,7 +140,7 @@ def _run_fidelity(args) -> str:
         if spec.step > MAX_FIDELITY_H:
             raise ValueError(
                 f"grid step {spec.step:.3g} at lambda {lam:g} exceeds {MAX_FIDELITY_H}, which under-resolves "
-                f"the ground state; use --grid {math.ceil(2.0 * spec.extent / MAX_FIDELITY_H)} or more"
+                f"the ground state; {_finer_grid(args, state, spec.extent)}"
             )
         if spec != ground_spec:  # with --extent, or once lambda >= 1, the grid stays the same
             ground, ground_spec = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec), spec

@@ -601,6 +601,15 @@ class TestExtremeInputs:
         assert err.startswith("error:") and err.count("\n") == 1 and "Warning" not in err
         assert option in err
 
+    def test_overflowing_cell_area_refused_before_sampling(self, capsys, monkeypatch):
+        # the default extent 8e300 squares past the largest float in the quadrature weight
+        sampled = []
+        monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: sampled.append(args))
+        code, out, err = run(capsys, "uncertainty", "--state", "fock1", "--lambda", "1e-300")
+        assert code == 2 and out == "" and sampled == []
+        assert err.startswith("error: extent 8e+300 is too large for 512 points per axis")
+        assert err.endswith("(with --state fock1 --lambda 1e-300)\n")
+
     def test_options_at_their_defaults_not_named(self, capsys):
         code, _, err = run(capsys, "uncertainty", "--state", "fock1", "--lambda", "1e200", "--kappa", "1",
                            "--grid", "16", "--format", "json")
@@ -621,11 +630,39 @@ class TestExtremeInputs:
 
 
 class TestFidelityResolution:
-    @pytest.mark.parametrize("lam_min,needed", [("0.01", 2286), ("0.04", 572)])
+    # at 0.02 the step bound alone asks for 1143 points, which GridSpec refuses as odd
+    @pytest.mark.parametrize("lam_min,needed", [("0.01", 2286), ("0.02", 1144), ("0.04", 572)])
     def test_under_resolved_grid_refused(self, capsys, lam_min, needed):
         code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "0.05", "--steps", "3")
         assert code == 2 and out == ""
-        assert f"--grid {needed}" in err
+        assert f"--grid {needed} or more" in err
+        assert phase_space.GridSpec(8.0 / float(lam_min), needed).step <= cli.MAX_FIDELITY_H
+
+    @pytest.mark.parametrize("lam_min", ["0.001", "1e-100"])
+    def test_beyond_the_grid_limit_names_a_lambda_min(self, capsys, lam_min):
+        # the step bound alone would ask for 22858 points at 0.001, and a 99-digit count at 1e-100
+        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "1", "--steps", "3")
+        assert code == 2 and out == ""
+        assert f"no grid within the limit of {phase_space.MAX_POINTS} points per axis resolves it" in err
+        assert err.rstrip().endswith("use --lambda-min 0.00559 or more with --grid 4096")
+        # the smallest three-digit lambda whose default grid of 4096 points resolves the ground state
+        def step(lam):
+            return phase_space.default_grid(phase_space.AnalyticWigner(1, lam), phase_space.MAX_POINTS).step
+        assert step(0.00559) <= cli.MAX_FIDELITY_H < step(0.00558)
+
+    @pytest.mark.parametrize("lam_min,extent,fix", [
+        ("0.01", "2000", "--extent 1433.6 or less"),
+        # an extent of 1433.6 cannot hold lambda = 0.001, which needs 4000
+        ("0.001", "5000", "--lambda-min 0.00559 or more and --extent 1433.6 or less"),
+    ])
+    def test_beyond_the_grid_limit_with_an_extent_names_the_extent(self, capsys, lam_min, extent, fix):
+        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "1", "--steps", "3",
+                             "--extent", extent)
+        assert code == 2 and out == ""
+        assert err.rstrip().endswith(f"at extent {extent}; use {fix} with --grid 4096")
+        spec = phase_space.GridSpec(1433.6, phase_space.MAX_POINTS)
+        assert spec.step <= cli.MAX_FIDELITY_H
+        phase_space.require_grid_fits(phase_space.AnalyticWigner(1, 0.00559), spec)
 
     def test_refused_before_any_sampling(self, capsys, monkeypatch):
         sampled = []

@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -163,6 +164,16 @@ class TestTypes:
         for extent in (float("inf"), float("nan"), 0.0):
             with pytest.raises(ValueError, match="extent must be positive and finite"):
                 GridSpec(extent, 16)
+
+    @pytest.mark.parametrize("extent", [1e300, np.float64(1e300), 1.35e154 * 8])
+    def test_extent_whose_cell_area_overflows_refused(self, extent):
+        # (2 extent / N)^2 overflows past extent ~1.34e154 N / 2; refused without a RuntimeWarning
+        message = re.escape(f"extent {extent:g} is too large for 16 points")
+        with pytest.raises(phase_space.ExtentOverflowError, match=message):
+            GridSpec(extent, 16)
+        assert issubclass(phase_space.ExtentOverflowError, ValueError)
+        assert issubclass(phase_space.ExtentOverflowError, ArithmeticError)
+        assert np.isfinite(GridSpec(1.3e154 * 8, 16).quadrature_weight)
 
     @pytest.mark.parametrize("points", [64.0, np.float64(64), np.int64(64)], ids=["float", "float64", "int64"])
     def test_integral_point_count_is_its_integer(self, points):
@@ -360,6 +371,22 @@ class TestScaling:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             apply_scaling(fock_grid(0), 0.0)
+
+    @pytest.mark.parametrize("points", [256, 1024])
+    @pytest.mark.parametrize("apply,lam", [(apply_scaling, 0.7), (apply_scaling, 1.6), (apply_partial_scaling, -1.0)])
+    def test_peak_memory_is_the_output_and_the_row_blocks(self, points, apply, lam):
+        # the output grid beside the gathers' three _MAP_ROWS x n buffers (two source rows and
+        # a term), which the mirror's strided copy does not need; no padded copy of the grid.
+        # The allowance covers 24 axis-length vectors (the sources, their fractions, weights
+        # and edge masks) and numpy's iterator buffer, which the row weights' broadcast uses
+        w = fock_grid(1, extent=8.0, points=points)
+        tracemalloc.start()
+        try:
+            apply(w, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * points * (points + 3 * phase_space._MAP_ROWS + 24) + 8 * np.getbufsize()
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("lam", [-0.25, -0.5, -1.0, 0.25, 0.5, 1.0, 2.0])

@@ -34,9 +34,11 @@ def source_indices(pts, a, b):
     return a * K + center, b * L + center
 
 
-# the four sign diagonals (a, b): identity, both reflections and -I; every source is a cell center
-cell_center_maps = st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
-# diagonal maps (a, b): fractional sources of either sign, and the four sign diagonals
+# odd whole a and b: the identity, both reflections, -I and strides of 3 and 5 whose sources run
+# off both ends of the grid; every source is a cell center
+odd = st.sampled_from([1.0, -1.0, 3.0, -3.0, 5.0, -5.0])
+cell_center_maps = st.tuples(odd, odd)
+# diagonal maps (a, b): fractional sources of either sign, and the cell-centre maps
 maps = st.one_of(st.tuples(nonzero, nonzero), cell_center_maps)
 
 
@@ -111,7 +113,7 @@ class TestLinearMap:
         # every source is a cell center, so only one corner is gathered
         w = grid(n, extent, pts, kappa)
         assert not np.signbit(w.values[w.values == 0]).any()  # no -0.0, whose sign the shortcut keeps
-        expected = masked_bilinear(w.values, *source_indices(pts, *ab))
+        expected = abs(ab[0] * ab[1]) * masked_bilinear(w.values, *source_indices(pts, *ab))
         assert np.array_equal(_diagonal_map(w, *ab).values.view(np.int64), expected.view(np.int64))
 
     def test_cell_center_map_keeps_negative_zero(self):
@@ -147,8 +149,9 @@ SEAM_POINTS = [130, 256]
 # fractional sources of both signs, sources outside the grid (|a| or |b| > 1), and maps with
 # fractions on one axis only
 SEAM_FRACTIONAL_MAPS = [(0.7, 0.55), (-0.83, 1.9), (1.3, -0.61), (-2.5, -0.45), (1.0, 0.5), (0.5, -1.0)]
-# every source a cell center: the four sign diagonals, and an odd a, whose sources are whole cells
-SEAM_CELL_CENTER_MAPS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (3.0, -1.0)]
+# every source a cell center: the four sign diagonals, and odd whole a and b, whose sources are
+# whole cells and run off both ends of one axis, or of both
+SEAM_CELL_CENTER_MAPS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (3.0, -1.0), (-5.0, 3.0)]
 
 
 def with_seam_negative_zeros(values):
