@@ -81,9 +81,11 @@ def store_validated(obj, attr: str, shape: tuple, dtype, name: str, hermitian: b
     are: then no view can write to it, and it is stored as it is.
 
     Raises:
-        ValueError: on a shape other than `shape`, a non-finite entry, or,
-            with `hermitian`, a residual max |M - M^dag| above HERMITICITY_TOL.
+        ValueError: on complex entries for a real `dtype`, a shape other than `shape`, a non-finite
+            entry, or, with `hermitian`, a residual max |M - M^dag| above HERMITICITY_TOL.
     """
+    if dtype is float and np.iscomplexobj(getattr(obj, attr)):  # the cast would drop the imaginary parts
+        raise ValueError(f"{name} must be real, got complex entries")
     array = np.asarray(getattr(obj, attr), dtype=dtype)
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")

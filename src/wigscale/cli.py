@@ -29,8 +29,10 @@ MAX_LAMBDA_POINTS = 10_000
 #: significant digits, so this is looser than HERMITICITY_TOL; the matrix is symmetrised
 #: before CovarianceMatrix sees it
 FILE_SYMMETRY_TOL = 1e-9
-#: coarsest grid step of a fidelity run: the quadrature of the unit-width ground
-#: state is off by 6e-9 (relative) at h = 0.69 and by 7e-2 at h = 1.56
+#: coarsest grid step of a fidelity run at lambda = 0: the overlap's integrand has width
+#: 1 / sqrt(1 + lambda^2), and the step must stay within MAX_FIDELITY_H times that. At the bound
+#: the quadrature is off by at most 5.6e-7 over lambda in [0.05, 200] (2.6e-8 with 0.65; 5.3e-10
+#: with 0.6, which refuses the default 512-point grid at lambda = 0.05, whose step is 0.625)
 MAX_FIDELITY_H = 0.7
 
 
@@ -105,23 +107,36 @@ def _closed_form_fidelity(lam: float) -> float:
     return 2.0 * lam**2 * (lam**2 - 1.0) / (1.0 + lam**2) ** 2
 
 
+def _fidelity_step(lam: float) -> float:
+    return MAX_FIDELITY_H / math.hypot(1.0, lam)
+
+
+def _rounded(value: float, rounding) -> float:
+    """`value` rounded to three significant digits by math.ceil or math.floor."""
+    return rounding(value / (digit := 10.0 ** (math.floor(math.log10(value)) - 2))) * digit
+
+
 def _finer_grid(args, state: phase_space.AnalyticWigner, extent: float) -> str:
-    """The options that resolve the ground state beside `state` on a grid of half-width `extent`."""
-    needed = 2 * math.ceil(extent / MAX_FIDELITY_H)  # even, as GridSpec requires
-    if needed <= phase_space.MAX_POINTS:
+    """The options that resolve the overlap at `state` on a grid of half-width `extent`, and hold --lambda-min."""
+    lam, limit = state.scale, phase_space.MAX_POINTS
+    needed = 2 * math.ceil(extent / _fidelity_step(lam))  # even, as GridSpec requires
+    if needed <= limit:
         return f"use --grid {needed} or more"
-    widest = 0.5 * MAX_FIDELITY_H * phase_space.MAX_POINTS
-    default = phase_space.default_grid(state).extent
-    fixes = []
-    if args.extent is None or default > widest:
-        # the default extent grows as 1/lambda below lambda = 1; rounded up to three digits
-        lam_min = state.scale * default / widest
-        digit = 10.0 ** (math.floor(math.log10(lam_min)) - 2)
-        fixes.append(f"--lambda-min {math.ceil(lam_min / digit) * digit:.3g} or more")
-    if args.extent is not None:
-        fixes.append(f"--extent {widest:g} or less")
-    return (f"no grid within the limit of {phase_space.MAX_POINTS} points per axis resolves it at extent "
-            f"{extent:g}; use {' and '.join(fixes)} with --grid {phase_space.MAX_POINTS}")
+    reach, narrowest = 0.5 * limit * MAX_FIDELITY_H, phase_space._MIN_EXTENT_FACTOR
+    widest = _rounded(reach / math.hypot(1.0, lam), math.floor)
+    if args.extent is None and lam < 1.0:
+        # the default extent c / lambda fits the limit from c / lambda = reach / sqrt(1 + lambda^2) on
+        c = lam * phase_space.default_grid(state).extent
+        fixes = [f"--lambda-min {_rounded(c / math.sqrt(reach**2 - c**2), math.ceil):.3g} or more"]
+    else:
+        fixes = [f"--extent {widest:g} or less"]
+        if widest < narrowest:  # no extent that holds lambda >= 1 resolves it: name the largest lambda one does
+            lam_max = _rounded(math.sqrt((reach / narrowest) ** 2 - 1.0), math.floor)
+            fixes, widest = [f"--lambda-max {lam_max:.3g} or less", f"--extent {narrowest:g}"], narrowest
+        if narrowest / args.lam_min > widest:  # an extent that small cannot hold --lambda-min
+            fixes.insert(0, f"--lambda-min {_rounded(narrowest / widest, math.ceil):.3g} or more")
+    return (f"no grid within the limit of {limit} points per axis resolves it at extent "
+            f"{extent:g}; use {' and '.join(fixes)} with --grid {limit}")
 
 
 def _run_fidelity(args) -> str:
@@ -129,19 +144,20 @@ def _run_fidelity(args) -> str:
         raise ValueError("need 0 < --lambda-min < --lambda-max")
     if not (2 <= args.steps <= MAX_FIDELITY_STEPS):
         raise ValueError(f"--steps must be between 2 and {MAX_FIDELITY_STEPS}, got {args.steps}")
+    lams = np.linspace(args.lam_min, args.lam_max, args.steps)
+    states = [phase_space.AnalyticWigner(1, lam) for lam in lams]
+    specs = [_make_grid(args, state) for state in states]
+    for state, spec in zip(states, specs):  # every lambda is checked before any is sampled
+        phase_space.require_grid_fits(state, spec)
+    # a refusal names the worst-resolved lambda: a grid that resolves it resolves the others
+    k = max(range(len(lams)), key=lambda i: specs[i].step / _fidelity_step(lams[i]))
+    if specs[k].step > (bound := _fidelity_step(lams[k])):
+        raise ValueError(f"grid step {specs[k].step:.3g} at lambda {lams[k]:g} exceeds {bound:.3g} = {MAX_FIDELITY_H} / "
+                         f"sqrt(1 + lambda^2), the coarsest step that resolves the overlap; "
+                         f"{_finer_grid(args, states[k], specs[k].extent)}")
     rows = []
     ground_spec = None
-    for lam in np.linspace(args.lam_min, args.lam_max, args.steps):
-        state = phase_space.AnalyticWigner(1, lam)
-        spec = _make_grid(args, state)
-        # checked before sampling: the required extent and the step shrink as lambda grows,
-        # so a refused run stops at the first lambda, and the ground state needs no more extent
-        phase_space.require_grid_fits(state, spec)
-        if spec.step > MAX_FIDELITY_H:
-            raise ValueError(
-                f"grid step {spec.step:.3g} at lambda {lam:g} exceeds {MAX_FIDELITY_H}, which under-resolves "
-                f"the ground state; {_finer_grid(args, state, spec.extent)}"
-            )
+    for lam, state, spec in zip(lams, states, specs):
         if spec != ground_spec:  # with --extent, or once lambda >= 1, the grid stays the same
             ground, ground_spec = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec), spec
         scaled = phase_space.sample_to_grid(state, spec)
@@ -272,13 +288,16 @@ def _run_tmsv(args) -> str:
 
 def _run_roundtrip(args) -> str:
     grid, meta = _state_pipeline(args)
-    density = phase_space.wigner_to_density(grid)
-    back = phase_space.density_to_wigner(density)
-    n = grid.spec.points_per_axis
+    spec, norm = grid.spec, grid.norm()
+    n = spec.points_per_axis
     inner = slice(n // 4, 3 * n // 4)
-    max_error = float(np.abs(back.values[inner, inner] - grid.values[inner, inner]).max())
-    norm_drift = abs(back.norm() - grid.norm())
-    meta |= {"grid_points": grid.spec.points_per_axis, "extent": grid.spec.extent}
+    interior = grid.values[inner, inner].copy()
+    density = phase_space.wigner_to_density(grid)
+    del grid  # only its interior and norm are compared, so the inverse runs without it
+    back = phase_space.density_to_wigner(density)
+    max_error = float(np.abs(back.values[inner, inner] - interior).max())
+    norm_drift = abs(back.norm() - norm)
+    meta |= {"grid_points": n, "extent": spec.extent}
     rows = [[max_error, norm_drift]]
     return _render(["max_abs_error_interior", "norm_drift"], rows, meta, args.format)
 

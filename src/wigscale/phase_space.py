@@ -39,7 +39,7 @@ DEFAULT_POINTS = 512
 MAX_POINTS = 4096
 
 #: peak bytes per grid point of density_to_wigner(wigner_to_density(w)): the buffers grow as
-#: n^2, and the tracemalloc peak at 512 points is 32.3 bytes for each of the 512^2 points
+#: n^2, and the tracemalloc peak at 512 points is 32.0 bytes for each of the 512^2 points
 #: (wigner_to_density alone peaks at 24, and density_to_wigner at 16 beside rho's 16)
 _TRANSFORM_BYTES_PER_POINT = 32
 
@@ -537,33 +537,37 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     Hermitian, so anti-diagonal -t is the conjugate of t and each t >= 1
     counts twice. The p axis is exactly antisymmetric, so the products run
     over its positive half: at -p the cos term is the same and the sin term
-    changes sign. Round-tripping :func:`wigner_to_density` reproduces the
-    input to near machine precision on the interior of the grid.
+    changes sign. W is built in place: the real anti-diagonals are gathered
+    into its left half, the cos product is written into its right half, and
+    the combined halves then overwrite both. Round-tripping
+    :func:`wigner_to_density` reproduces the input to near machine precision
+    on the interior of the grid.
     """
     n = rho.spec.points_per_axis
     half = n // 2
     h = rho.spec.step
-    x = rho.spec.axis()
-    # diagonals[m, t] = rho[m + t, m - t], 0 off the grid: row m is the slice of rho's flat view from m (n + 1)
-    # in steps of n - 1; weight 2 counts anti-diagonal -t. One complex buffer: two float buffers raise the peak RSS
-    diagonals = np.zeros((n, half), dtype=complex)
-    flat = rho.values.reshape(-1)
-    for m in range(n):
-        length = min(m, n - 1 - m) + 1
-        diagonals[m, :length] = flat[m * (n + 1)::n - 1][:length]
-    diagonals[:, 1:] *= 2.0
-    diag_re, diag_im = diagonals.real.copy(), diagonals.imag.copy()
-    del diagonals
     # the positive half of the p axis: the last columns of a product, which BLAS rounds in a
     # kernel of its own, then sit at the grid's edges, where W is ~0, as in a full-width product
-    phase = np.outer(2.0 * h * np.arange(half), x[half:])
-    cos_part = diag_re @ np.cos(phase)
-    del diag_re  # each half is freed once its product exists
-    sin_part = diag_im @ np.sin(phase)
-    del diag_im, phase
+    phase = np.outer(2.0 * h * np.arange(half), rho.spec.axis()[half:])
+    flat = rho.values.reshape(-1)
+
+    def gather(part, out):
+        # out[m, t] = part[m + t, m - t], 0 off the grid: row m is the slice of part's flat view from
+        # m (n + 1) in steps of n - 1; weight 2 counts anti-diagonal -t
+        for m in range(n):
+            length = min(m, n - 1 - m) + 1
+            out[m, :length] = part[m * (n + 1)::n - 1][:length]
+            out[m, length:] = 0.0
+        out[:, 1:] *= 2.0
+        return out
+
+    # the sin product first, so that its gathered input is freed before W exists
+    sin_part = gather(flat.imag, np.empty((n, half))) @ np.sin(phase)
     w = np.empty((n, n))
-    np.add(cos_part, sin_part, out=w[:, half:])
-    np.subtract(cos_part, sin_part, out=w[:, half - 1::-1])
-    del cos_part, sin_part
-    np.multiply(w, 2.0 * h, out=w)
+    np.matmul(gather(flat.real, w[:, :half]), np.cos(phase), out=w[:, half:])
+    del phase
+    np.subtract(w[:, half:], sin_part, out=w[:, half - 1::-1])
+    w[:, half:] += sin_part
+    del sin_part
+    w *= 2.0 * h
     return GridWigner(rho.spec, frozen(w))

@@ -346,6 +346,22 @@ class TestRoundtrip:
         assert float(row["norm_drift"]) <= 1e-5
 
 
+    def test_peak_memory_at_512_points(self, capsys):
+        # rho (16 bytes a point) beside the inverse's peak (16) and the input grid's kept interior
+        # (2): the grid itself (8) is dropped before the inverse runs. 34.25 measured; the
+        # allowance covers the parser and the rendered table
+        argv = ["roundtrip", "--state", "fock1", "--lambda", "0.6"]
+        assert run(capsys, *argv)[0] == 0  # untraced, so numpy's FFT plan for the length is cached already
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= (16 + 16 + 2) * 512**2 + 128 * 1024
+
+
 class TestOutputContract:
     def test_deterministic_bytes(self, capsys):
         args = ("fidelity", "--lambda-min", "0.25", "--lambda-max", "1.0", "--steps", "4")
@@ -636,7 +652,7 @@ class TestFidelityResolution:
         code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "0.05", "--steps", "3")
         assert code == 2 and out == ""
         assert f"--grid {needed} or more" in err
-        assert phase_space.GridSpec(8.0 / float(lam_min), needed).step <= cli.MAX_FIDELITY_H
+        assert phase_space.GridSpec(8.0 / float(lam_min), needed).step <= cli._fidelity_step(float(lam_min))
 
     @pytest.mark.parametrize("lam_min", ["0.001", "1e-100"])
     def test_beyond_the_grid_limit_names_a_lambda_min(self, capsys, lam_min):
@@ -645,24 +661,69 @@ class TestFidelityResolution:
         assert code == 2 and out == ""
         assert f"no grid within the limit of {phase_space.MAX_POINTS} points per axis resolves it" in err
         assert err.rstrip().endswith("use --lambda-min 0.00559 or more with --grid 4096")
-        # the smallest three-digit lambda whose default grid of 4096 points resolves the ground state
-        def step(lam):
-            return phase_space.default_grid(phase_space.AnalyticWigner(1, lam), phase_space.MAX_POINTS).step
-        assert step(0.00559) <= cli.MAX_FIDELITY_H < step(0.00558)
+        # the smallest three-digit lambda whose default grid of 4096 points resolves the overlap
+        def resolved(lam):
+            spec = phase_space.default_grid(phase_space.AnalyticWigner(1, lam), phase_space.MAX_POINTS)
+            return spec.step <= cli._fidelity_step(lam)
+        assert resolved(0.00559) and not resolved(0.00558)
 
+    # lambda = 1 is the worst resolved on a fixed extent: 1013.7 resolves it at 4096 points
     @pytest.mark.parametrize("lam_min,extent,fix", [
-        ("0.01", "2000", "--extent 1433.6 or less"),
-        # an extent of 1433.6 cannot hold lambda = 0.001, which needs 4000
-        ("0.001", "5000", "--lambda-min 0.00559 or more and --extent 1433.6 or less"),
+        ("0.01", "2000", "--extent 1010 or less"),
+        # an extent of 1010 cannot hold lambda = 0.001, which needs 4000
+        ("0.001", "5000", "--lambda-min 0.00397 or more and --extent 1010 or less"),
     ])
     def test_beyond_the_grid_limit_with_an_extent_names_the_extent(self, capsys, lam_min, extent, fix):
         code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "1", "--steps", "3",
                              "--extent", extent)
         assert code == 2 and out == ""
         assert err.rstrip().endswith(f"at extent {extent}; use {fix} with --grid 4096")
-        spec = phase_space.GridSpec(1433.6, phase_space.MAX_POINTS)
-        assert spec.step <= cli.MAX_FIDELITY_H
-        phase_space.require_grid_fits(phase_space.AnalyticWigner(1, 0.00559), spec)
+        spec = phase_space.GridSpec(1010.0, phase_space.MAX_POINTS)
+        assert spec.step <= cli._fidelity_step(1.0)
+        phase_space.require_grid_fits(phase_space.AnalyticWigner(1, 0.00397), spec)
+        with pytest.raises(ValueError, match="grid too small"):
+            phase_space.require_grid_fits(phase_space.AnalyticWigner(1, 0.00396), spec)
+
+    # an extent of 4 holds lambda >= 1 only
+    @pytest.mark.parametrize("lam_min,fix", [("1", ""), ("0.5", "--lambda-min 1 or more and ")])
+    def test_beyond_the_grid_limit_past_lambda_one_names_a_lambda_max(self, capsys, lam_min, fix):
+        # the state needs extent 4 once lambda >= 1, where 4096 points resolve the overlap up to lambda 358.4
+        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "400", "--steps", "3")
+        assert code == 2 and out == ""
+        assert "at lambda 400 " in err
+        assert err.rstrip().endswith(f"at extent 8; use {fix}--lambda-max 358 or less and --extent 4 with --grid 4096")
+        spec = phase_space.GridSpec(4.0, phase_space.MAX_POINTS)
+        assert spec.step <= cli._fidelity_step(358.0) and spec.step > cli._fidelity_step(359.0)
+        code, out, _ = run(capsys, "fidelity", "--lambda-min", "1", "--lambda-max", "358", "--steps", "2",
+                           "--extent", "4", "--grid", "4096")
+        assert code == 0
+
+    def test_narrow_integrand_refused_at_lambda_above_one(self, capsys, monkeypatch):
+        # a step of 0.7 resolves the ground state but not the overlap at lambda = 2, whose integrand
+        # has width 1 / sqrt(5): the sweep is refused at its worst lambda before anything is sampled
+        argv = ["fidelity", "--lambda-min", "0.5", "--lambda-max", "2", "--steps", "4", "--extent", "179.2"]
+        sampled = []
+        monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: sampled.append(args))
+        code, out, err = run(capsys, *argv, "--grid", "512")
+        assert code == 2 and out == "" and sampled == []
+        assert err.startswith("error: grid step 0.7 at lambda 2 exceeds 0.313") and err.count("\n") == 1
+        assert err.rstrip().endswith("use --grid 1146 or more")
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv, "--grid", "1146")
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert float(row[1]) == pytest.approx(float(row[2]), abs=6e-7)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 2.0, 8.0, 50.0, 200.0])
+    def test_quadrature_error_at_the_step_bound(self, lam):
+        # the figure in MAX_FIDELITY_H's comment: 5.6e-7 at most, at the bound itself. The product
+        # decays within 34 of its widths, so 96 cells cover it, though not the scaled state alone
+        spec = phase_space.GridSpec(48 * cli._fidelity_step(lam), 96)
+        q, p = np.meshgrid(spec.axis(), spec.axis(), indexing="ij")
+        product = (phase_space.eval_fock_wigner(phase_space.AnalyticWigner(0), q, p)
+                   * phase_space.eval_fock_wigner(phase_space.AnalyticWigner(1, lam), q, p))
+        error = abs(product.sum() * spec.quadrature_weight - cli._closed_form_fidelity(lam))
+        assert error <= 5.7e-7
 
     def test_refused_before_any_sampling(self, capsys, monkeypatch):
         sampled = []

@@ -67,6 +67,11 @@ class TestConstructors:
         with pytest.raises(ValueError, match=f"modes must be (positive|an integer), got {modes}"):
             CovarianceMatrix(modes, np.eye(2))
 
+    def test_complex_entries_refused(self):
+        # the cast to float would keep [[1, 0], [-0, 1]] with no more than a ComplexWarning
+        with pytest.raises(ValueError, match="covariance matrix must be real"):
+            CovarianceMatrix(1, [[1, 0.1j], [-0.1j, 1]])
+
     def test_symmetry_enforced(self):
         bad = 0.5 * np.eye(2)
         bad[0, 1] = 1e-6

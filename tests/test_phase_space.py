@@ -113,6 +113,32 @@ def full_range_density_to_wigner(rho):
     return 2.0 * h * (diagonals.real @ np.cos(phase) + diagonals.imag @ np.sin(phase))
 
 
+def complex_buffer_density_to_wigner(rho):
+    """Reference: the inverse that gathered rho's anti-diagonals into one complex (n, n/2) buffer.
+
+    Its real and imaginary parts were copied out, and W formed from the two products; the
+    in-place inverse makes the same operations in the same order.
+    """
+    n = rho.spec.points_per_axis
+    half = n // 2
+    h = rho.spec.step
+    diagonals = np.zeros((n, half), dtype=complex)
+    flat = rho.values.reshape(-1)
+    for m in range(n):
+        length = min(m, n - 1 - m) + 1
+        diagonals[m, :length] = flat[m * (n + 1)::n - 1][:length]
+    diagonals[:, 1:] *= 2.0
+    diag_re, diag_im = diagonals.real.copy(), diagonals.imag.copy()
+    phase = np.outer(2.0 * h * np.arange(half), rho.spec.axis()[half:])
+    cos_part = diag_re @ np.cos(phase)
+    sin_part = diag_im @ np.sin(phase)
+    w = np.empty((n, n))
+    np.add(cos_part, sin_part, out=w[:, half:])
+    np.subtract(cos_part, sin_part, out=w[:, half - 1::-1])
+    np.multiply(w, 2.0 * h, out=w)
+    return w
+
+
 def unsigned_laguerre(n, x):
     """Reference: L_n(x), n >= 1, by the recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} from L_0 = 1."""
     prev, cur = np.ones_like(x), 1.0 - x
@@ -620,14 +646,27 @@ class TestRealKernels:
         assert rho.values.any()
         assert not density_to_wigner(rho).values.any()
 
+    @pytest.mark.parametrize("points", [16, 18, 66, 250, 512, 1024])
+    def test_inverse_equals_the_complex_buffer_reference_bit_for_bit(self, points):
+        # a Hermitian rho with about a third of its entries zeroed in pairs, so zeros meet both
+        # gathers; 18, 66 and 250 points have an odd n/2
+        spec = GridSpec(8.0, points)
+        rng = np.random.default_rng(points)
+        a = rng.standard_normal((points, points)) + 1j * rng.standard_normal((points, points))
+        a[rng.random((points, points)) < 0.3] = 0.0
+        a = a + a.conj().T
+        assert (a == 0).any()
+        rho = phase_space.PositionDensity(spec, a)
+        assert np.array_equal(bits(density_to_wigner(rho).values), bits(complex_buffer_density_to_wigner(rho)))
+
     @pytest.mark.parametrize("transform,bytes_per_point", [(wigner_to_density, 24), (density_to_wigner, 16)])
     def test_transform_peak_memory_at_1024_points(self, transform, bytes_per_point):
         # the README's figures: wigner_to_density holds rho (16 bytes a point) beside the two
-        # half-width odd products (4 each); density_to_wigner holds four n x n/2 float arrays at
-        # every stage: the complex anti-diagonals beside their real and imaginary copies, those
-        # copies beside a product and the two n/2 x n/2 phase tables, or W beside the two
-        # products. The allowance covers eight axis-length vectors and numpy's iterator buffer
-        # (getbufsize() doubles), which the strided writes into W use
+        # half-width odd products (4 each); density_to_wigner peaks (16.0 measured) while W (8)
+        # takes the cos product beside the sin product (4) and the n/2 x n/2 phase and cos tables
+        # (2 each); before it, the imaginary anti-diagonals (4) sit beside the sin table, the
+        # phases and that product. The allowance covers eight axis-length vectors and numpy's
+        # iterator buffer (getbufsize() doubles), which the strided writes into W use
         state = AnalyticWigner(1, 0.5)
         w = sample_to_grid(state, phase_space.default_grid(state, 1024))
         rho = wigner_to_density(w)  # untraced, so numpy's FFT plan for the length is cached already

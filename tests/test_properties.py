@@ -326,6 +326,18 @@ class TestValidatedTypes:
         values += 1.0
         assert np.array_equal(stored, before)
 
+    def test_complex_entries_refused_by_a_real_field(self, kind):
+        # the cast to a real field would drop the imaginary parts; a complex field keeps them
+        make, size, complex_valued, _ = TYPES[kind]
+        values = np.eye(size, dtype=complex)
+        values[0, 1], values[1, 0] = 0.1j, -0.1j
+        if complex_valued:
+            stored = next(v for v in vars(make(values)).values() if isinstance(v, np.ndarray))
+            assert np.array_equal(stored, values)
+        else:
+            with pytest.raises(ValueError, match="must be real, got complex entries"):
+                make(values)
+
     def test_frozen_array_that_owns_its_memory_stored_as_is(self, kind):
         make, size, complex_valued, _ = TYPES[kind]
         values = np.eye(size, dtype=complex if complex_valued else float)
