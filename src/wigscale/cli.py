@@ -211,7 +211,13 @@ def _parse_lambda_grid(token: str) -> np.ndarray:
     count = int(parts[2]) if spaced else len(parts)
     if count > MAX_LAMBDA_POINTS:
         raise ValueError(f"lambda grid has {count} points, more than the limit {MAX_LAMBDA_POINTS}")
-    numbers = [float(part) for part in (parts[:2] if spaced else parts)]
+    try:
+        numbers = [float(part) for part in (parts[:2] if spaced else parts)]
+    except ValueError:
+        raise ValueError(
+            f"--lambda-grid must be 'default', 'start:stop:count' or comma-separated values such as 0.5,1,2, "
+            f"got {token!r}"
+        ) from None
     for number in numbers:
         if not math.isfinite(number):
             raise ValueError(f"lambda grid values must be finite, got {number}")
@@ -399,6 +405,7 @@ def main(argv=None) -> int:
         # only extreme inputs overflow; raising turns numpy's warnings into one input error
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             text = args.func(args)
+        _write(text, args.out)
     except ArithmeticError as exc:
         # numpy's message names the operation, not the input: name the options that set it
         print(f"error: {exc}{_options_set(args)}", file=sys.stderr)
@@ -406,7 +413,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(text, args.out)
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validated import HERMITICITY_TOL, hermiticity_residual, whole_number
+from ._validated import HERMITICITY_TOL, frozen, hermiticity_residual, whole_number
 from .moments import HermitianMatrix
 from .phase_space import PositionDensity
 
@@ -125,7 +125,7 @@ def spectrum(rho: HermitianMatrix) -> Spectrum:
     applied here. For a projected state, truncation_deficit = |1 - trace| is
     the probability weight lost to the discarded levels.
     """
-    eigenvalues = np.linalg.eigvalsh(rho.entries)
+    eigenvalues = frozen(np.linalg.eigvalsh(rho.entries))
     trace = rho.trace()
     return Spectrum(
         eigenvalues=eigenvalues,

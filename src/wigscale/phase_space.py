@@ -282,28 +282,23 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec) -> GridWigner:
 
 
 def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the grid at fractional cell indices (fi, fj); zero outside it.
+    """Linear interpolation of the grid along each axis at fractional cell indices; zero outside it.
 
-    fi holds the n source rows of the output rows and fj the n source columns of the
-    output columns: the map is diagonal, so output row r reads source rows i0 and i0 + 1
-    of fi[r], and output column c source columns j0 and j0 + 1 of fj[c]. The gathers read
-    the grid itself at indices clipped into it, and the values gathered for a source row
-    or column outside the grid are set to 0.0 before a weight multiplies them. For each
-    block of _MAP_ROWS output rows the two source rows are gathered once and scaled in
-    place by their weights 1 - ti and ti, and then each is gathered at both source
-    columns and scaled by 1 - tj or tj. Every output cell is thus the four-corner sum
-    v00 (1-ti)(1-tj) + v10 ti (1-tj) + v01 (1-ti) tj + v11 ti tj, each product taken as
-    (v wi) wj and summed left to right, which are the floating-point operations of the
-    full n x n form in its order, so the result equals it bit for bit, signs of zero
-    included: every weight is >= 0, so a corner outside the grid adds +0.0 as the
-    reference's 0 does. A block's gathers stay in cache, in three _MAP_ROWS x n buffers
-    that every block reuses, and no n x n index, weight or padded copy of the grid is built.
+    The map is diagonal, so it is one interpolation per axis: output row r reads source
+    rows i0 and i0 + 1 of fi[r], and output column c source columns j0 and j0 + 1 of
+    fj[c]. For each block of _MAP_ROWS output rows, the rows pass gathers source row i0
+    and, only when some row fraction ti is nonzero, source row i0 + 1, and blends them
+    as (v0 (1-ti)) + (v1 ti); the columns pass does the same to the block's columns with
+    tj. The gathers read the grid itself at indices clipped into it, and a source row or
+    column outside the grid reads 0.0 before any weight multiplies it. The two passes
+    reuse two _MAP_ROWS x n buffers, and no n x n index, weight or padded copy is built.
 
-    When every fraction is 0 (the identity, the reflections, -I, odd whole a and b) every
-    source is a cell center, and the result is a strided copy of the grid, zero where the
-    source lies outside it, with no arithmetic: the four-corner sum would multiply by 1
-    and add +-0, which changes no bit unless the grid holds -0.0, whose sign the copy
-    keeps and the sum would turn to +0.0.
+    An axis whose fractions are all 0 is a gather with no arithmetic, so the identity,
+    the reflections, the cell-centre maps (odd whole a and b) and a map with fractions on
+    one axis only reproduce the cells they read exactly, -0.0 included. A fully
+    fractional cell differs from the four-corner sum
+    v00 (1-ti)(1-tj) + v10 ti (1-tj) + v01 (1-ti) tj + v11 ti tj
+    only by rounding: the two orders take 4 and 5 rounded steps on the same weights.
     """
     n = w.spec.points_per_axis
     i0, j0 = np.floor(fi), np.floor(fj)
@@ -311,63 +306,33 @@ def _interpolate(w: GridWigner, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     # clipped one cell past each edge, so -1 and n mark the sources outside the grid
     ia, ib = (np.clip(i, -1, n).astype(np.intp) for i in (i0, i0 + 1))
     ja, jb = (np.clip(j, -1, n).astype(np.intp) for j in (j0, j0 + 1))
-    if not (ti.any() or tj.any()):
-        return _strided_copy(w.values, ia, ja)
     outside_ia, outside_ib = ((i < 0) | (i == n) for i in (ia, ib))
     outside_ja, outside_jb = (np.flatnonzero((j < 0) | (j == n)) for j in (ja, jb))
-    wi0, wi1 = (1 - ti)[:, None], ti[:, None]
-    wj0, wj1 = 1 - tj, tj
     out = np.empty((n, n))
-    buffers = np.empty((3, min(n, _MAP_ROWS), n))
+    buffers = np.empty((2, min(n, _MAP_ROWS), n))
     for start in range(0, n, _MAP_ROWS):
         rows = slice(start, start + _MAP_ROWS)
         block = out[rows]
-        row0, row1, part = buffers[:, : len(block)]
-        for row, sources, outside, weight in ((row0, ia, outside_ia, wi0), (row1, ib, outside_ib, wi1)):
-            np.take(w.values, sources[rows], axis=0, out=row, mode="clip")
-            row[outside[rows]] = 0.0
-            row *= weight[rows]
+        row, part = buffers[:, : len(block)]
         # mode="clip" reads an outside source at the edge, which is then set to 0; unlike
         # numpy's default bounds-checked take, it writes into `out` without a copy
-        np.take(row0, ja, axis=1, out=block, mode="clip")
+        np.take(w.values, ia[rows], axis=0, out=row, mode="clip")
+        row[outside_ia[rows]] = 0.0
+        if ti.any():
+            row *= 1 - ti[rows, None]
+            np.take(w.values, ib[rows], axis=0, out=part, mode="clip")
+            part[outside_ib[rows]] = 0.0
+            part *= ti[rows, None]
+            row += part
+        np.take(row, ja, axis=1, out=block, mode="clip")
         block[:, outside_ja] = 0.0
-        block *= wj0
-        for source, cols, outside, weight in (
-            (row1, ja, outside_ja, wj0), (row0, jb, outside_jb, wj1), (row1, jb, outside_jb, wj1)
-        ):
-            np.take(source, cols, axis=1, out=part, mode="clip")
-            part[:, outside] = 0.0
-            part *= weight
+        if tj.any():
+            block *= 1 - tj
+            np.take(row, jb, axis=1, out=part, mode="clip")
+            part[:, outside_jb] = 0.0
+            part *= tj
             block += part
     return out
-
-
-def _strided_copy(values: np.ndarray, ia: np.ndarray, ja: np.ndarray) -> np.ndarray:
-    """values[ia[r], ja[c]] at every output cell (r, c) whose sources lie in the grid, 0 elsewhere.
-
-    The sources of a cell-centre map run in steps of a whole number (a along the rows,
-    b along the columns), and sources outside the grid can only precede or follow those
-    inside it, so the result is one strided slice of the grid.
-    """
-    n = len(values)
-    (rows, source_rows), (cols, source_cols) = (_in_grid_slices(i, n) for i in (ia, ja))
-    if rows == cols == slice(0, n):
-        return values[source_rows, source_cols].copy()
-    out = np.zeros((n, n))
-    out[rows, cols] = values[source_rows, source_cols]
-    return out
-
-
-def _in_grid_slices(sources: np.ndarray, n: int) -> tuple[slice, slice]:
-    """(outputs, sources): the outputs whose whole-cell source lies in [0, n), and those sources."""
-    inside = np.flatnonzero((sources >= 0) & (sources < n))
-    if not inside.size:
-        return slice(0, 0), slice(0, 0)
-    lo, hi = int(inside[0]), int(inside[-1]) + 1
-    first, last = int(sources[lo]), int(sources[hi - 1])
-    step = (last - first) // (hi - lo - 1) if hi - lo > 1 else 1
-    stop = last + step
-    return slice(lo, hi), slice(first, stop if stop >= 0 else None, step)
 
 
 def _diagonal_map(w: GridWigner, a: float, b: float) -> GridWigner:

@@ -532,6 +532,27 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err == f"error: --modes must be comma-separated mode indices such as 1,2, got {modes!r}\n"
 
+    @pytest.mark.parametrize("grid", [",", "a:b:3", "1,,2"])
+    def test_malformed_lambda_grid_option_named(self, capsys, tmp_path, grid):
+        path = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "1.0", "--out", str(path))
+        code, out, err = run(capsys, "separability", "--cov", str(path), "--modes", "2", f"--lambda-grid={grid}")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --lambda-grid must be 'default', 'start:stop:count' or comma-separated values such as "
+            f"0.5,1,2, got {grid!r}\n"
+        )
+
+    @pytest.mark.parametrize("target", ["directory", "missing/out.csv"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        # the output path is opened inside the error handling: one error line, nothing on stdout
+        path = tmp_path / target
+        if target == "directory":
+            path.mkdir()
+        code, out, err = run(capsys, "uncertainty", "--state", "fock1", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno") and str(path) in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     @pytest.mark.parametrize(
         "argv,option",

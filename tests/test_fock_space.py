@@ -197,6 +197,13 @@ class TestSpectrum:
         spec = spectrum(fock_projection(0, dim=32))
         assert spec.min_eigenvalue >= -1e-8
 
+    def test_eigenvalues_are_read_only(self):
+        # like every other library result, the returned array cannot be changed behind the record
+        spec = spectrum(fock_projection(1, lam=0.5, dim=8))
+        assert not spec.eigenvalues.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            spec.eigenvalues[0] = 0.0
+
 
 class TestMomentMatrix:
     def test_ground_state_quadrature_moments(self):

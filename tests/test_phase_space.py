@@ -401,10 +401,10 @@ class TestScaling:
     @pytest.mark.parametrize("points", [256, 1024])
     @pytest.mark.parametrize("apply,lam", [(apply_scaling, 0.7), (apply_scaling, 1.6), (apply_partial_scaling, -1.0)])
     def test_peak_memory_is_the_output_and_the_row_blocks(self, points, apply, lam):
-        # the output grid beside the gathers' three _MAP_ROWS x n buffers (two source rows and
-        # a term), which the mirror's strided copy does not need; no padded copy of the grid.
-        # The allowance covers 24 axis-length vectors (the sources, their fractions, weights
-        # and edge masks) and numpy's iterator buffer, which the row weights' broadcast uses
+        # the output grid beside the two passes' two _MAP_ROWS x n buffers (the block's rows and
+        # the far source's term); no padded copy of the grid. The allowance covers 24
+        # axis-length vectors (the sources, their fractions, weights and edge masks) and
+        # numpy's iterator buffer, which the row weights' broadcast uses
         w = fock_grid(1, extent=8.0, points=points)
         tracemalloc.start()
         try:
@@ -412,7 +412,7 @@ class TestScaling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * points * (points + 3 * phase_space._MAP_ROWS + 24) + 8 * np.getbufsize()
+        assert peak <= 8 * points * (points + 2 * phase_space._MAP_ROWS + 24) + 8 * np.getbufsize()
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("lam", [-0.25, -0.5, -1.0, 0.25, 0.5, 1.0, 2.0])
