@@ -29,11 +29,6 @@ MAX_LAMBDA_POINTS = 10_000
 #: significant digits, so this is looser than HERMITICITY_TOL; the matrix is symmetrised
 #: before CovarianceMatrix sees it
 FILE_SYMMETRY_TOL = 1e-9
-#: coarsest grid step of a fidelity run at lambda = 0: the overlap's integrand has width
-#: 1 / sqrt(1 + lambda^2), and the step must stay within MAX_FIDELITY_H times that. At the bound
-#: the quadrature is off by at most 5.6e-7 over lambda in [0.05, 200] (2.6e-8 with 0.65; 5.3e-10
-#: with 0.6, which refuses the default 512-point grid at lambda = 0.05, whose step is 0.625)
-MAX_FIDELITY_H = 0.7
 
 
 def _fmt(value: float) -> str:
@@ -43,7 +38,7 @@ def _fmt(value: float) -> str:
 def _render(columns, rows, meta, fmt: str) -> str:
     if fmt == "json":
         payload = {"convention": _CONVENTION}
-        payload.update(meta)
+        payload.update({key: _jsonable(value) for key, value in meta.items()})
         payload["columns"] = list(columns)
         payload["rows"] = [[_jsonable(v) for v in row] for row in rows]
         return json.dumps(payload, indent=2) + "\n"
@@ -57,6 +52,8 @@ def _render(columns, rows, meta, fmt: str) -> str:
 
 
 def _jsonable(value):
+    if isinstance(value, (float, np.floating)):
+        return float(_fmt(value))  # the CSV's 12 digits: JSON bytes then do not follow BLAS's last bits
     return value.item() if isinstance(value, np.generic) else value
 
 
@@ -83,10 +80,8 @@ def _parse_state(token: str) -> int:
     return int(match.group(1))
 
 
-def _make_grid(args, state: phase_space.AnalyticWigner) -> phase_space.GridSpec:
-    if args.extent is None:
-        return phase_space.default_grid(state, args.grid)
-    return phase_space.GridSpec(args.extent, args.grid)
+def _make_grid(args, *states: phase_space.AnalyticWigner) -> phase_space.GridSpec:
+    return phase_space.default_grid(states, args.grid, args.extent)
 
 
 def _state_pipeline(args):
@@ -107,61 +102,30 @@ def _closed_form_fidelity(lam: float) -> float:
     return 2.0 * lam**2 * (lam**2 - 1.0) / (1.0 + lam**2) ** 2
 
 
-def _fidelity_step(lam: float) -> float:
-    return MAX_FIDELITY_H / math.hypot(1.0, lam)
-
-
-def _rounded(value: float, rounding) -> float:
-    """`value` rounded to three significant digits by math.ceil or math.floor."""
-    return rounding(value / (digit := 10.0 ** (math.floor(math.log10(value)) - 2))) * digit
-
-
-def _finer_grid(args, state: phase_space.AnalyticWigner, extent: float) -> str:
-    """The options that resolve the overlap at `state` on a grid of half-width `extent`, and hold --lambda-min."""
-    lam, limit = state.scale, phase_space.MAX_POINTS
-    needed = 2 * math.ceil(extent / _fidelity_step(lam))  # even, as GridSpec requires
-    if needed <= limit:
-        return f"use --grid {needed} or more"
-    reach, narrowest = 0.5 * limit * MAX_FIDELITY_H, phase_space._MIN_EXTENT_FACTOR
-    widest = _rounded(reach / math.hypot(1.0, lam), math.floor)
-    if args.extent is None and lam < 1.0:
-        # the default extent c / lambda fits the limit from c / lambda = reach / sqrt(1 + lambda^2) on
-        c = lam * phase_space.default_grid(state).extent
-        fixes = [f"--lambda-min {_rounded(c / math.sqrt(reach**2 - c**2), math.ceil):.3g} or more"]
-    else:
-        fixes = [f"--extent {widest:g} or less"]
-        if widest < narrowest:  # no extent that holds lambda >= 1 resolves it: name the largest lambda one does
-            lam_max = _rounded(math.sqrt((reach / narrowest) ** 2 - 1.0), math.floor)
-            fixes, widest = [f"--lambda-max {lam_max:.3g} or less", f"--extent {narrowest:g}"], narrowest
-        if narrowest / args.lam_min > widest:  # an extent that small cannot hold --lambda-min
-            fixes.insert(0, f"--lambda-min {_rounded(narrowest / widest, math.ceil):.3g} or more")
-    return (f"no grid within the limit of {limit} points per axis resolves it at extent "
-            f"{extent:g}; use {' and '.join(fixes)} with --grid {limit}")
-
-
 def _run_fidelity(args) -> str:
     if not (0.0 < args.lam_min < args.lam_max):
         raise ValueError("need 0 < --lambda-min < --lambda-max")
     if not (2 <= args.steps <= MAX_FIDELITY_STEPS):
         raise ValueError(f"--steps must be between 2 and {MAX_FIDELITY_STEPS}, got {args.steps}")
     lams = np.linspace(args.lam_min, args.lam_max, args.steps)
+    ground = phase_space.AnalyticWigner(0)
     states = [phase_space.AnalyticWigner(1, lam) for lam in lams]
-    specs = [_make_grid(args, state) for state in states]
-    for state, spec in zip(states, specs):  # every lambda is checked before any is sampled
-        phase_space.require_grid_fits(state, spec)
-    # a refusal names the worst-resolved lambda: a grid that resolves it resolves the others
-    k = max(range(len(lams)), key=lambda i: specs[i].step / _fidelity_step(lams[i]))
-    if specs[k].step > (bound := _fidelity_step(lams[k])):
-        raise ValueError(f"grid step {specs[k].step:.3g} at lambda {lams[k]:g} exceeds {bound:.3g} = {MAX_FIDELITY_H} / "
-                         f"sqrt(1 + lambda^2), the coarsest step that resolves the overlap; "
-                         f"{_finer_grid(args, states[k], specs[k].extent)}")
+    specs, refusals = [], []
+    for lam, state in zip(lams, states):  # every lambda's grid is built before any is sampled
+        try:
+            specs.append(_make_grid(args, ground, state))
+        except ValueError as exc:
+            refusals.append(f"at lambda {lam:g}: {exc}")
+    if refusals:
+        # the two ends of the refused lambdas, so that one run names every remedy a sweep needs
+        ends = refusals[0] if len(refusals) == 1 else f"first {refusals[0]}; last {refusals[-1]}"
+        raise ValueError(f"{len(refusals)} of {len(lams)} lambda values have no grid that resolves both states, {ends}")
     rows = []
     ground_spec = None
     for lam, state, spec in zip(lams, states, specs):
-        if spec != ground_spec:  # with --extent, or once lambda >= 1, the grid stays the same
-            ground, ground_spec = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec), spec
-        scaled = phase_space.sample_to_grid(state, spec)
-        quad = phase_space.overlap(ground, scaled)
+        if spec != ground_spec:  # neighbouring lambdas often share a grid, and so one ground state
+            ground_grid, ground_spec = phase_space.sample_to_grid(ground, spec), spec
+        quad = phase_space.overlap(ground_grid, phase_space.sample_to_grid(state, spec))
         rows.append([lam, quad, _closed_form_fidelity(lam), -2.0 * lam**2])
     columns = ["lambda", "overlap_quadrature", "overlap_closed_form", "small_lambda_leading_term"]
     return _render(columns, rows, {}, args.format)
@@ -322,7 +286,7 @@ def _add_common(parser, default_format="csv"):
 
 
 def _add_grid_options(parser):
-    parser.add_argument("--grid", type=int, default=phase_space.DEFAULT_POINTS, help="points per axis")
+    parser.add_argument("--grid", type=int, default=None, help="points per axis (default: 512, or as the state needs)")
     parser.add_argument("--extent", type=finite_float, default=None, help="half-width of the grid")
 
 

@@ -9,6 +9,8 @@ Gaussian-decaying integrands handled here).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,13 +174,44 @@ class PositionDensity:
         return float(np.trace(self.values).real * self.spec.step)
 
 
-def default_grid(state: AnalyticWigner, points_per_axis: int = DEFAULT_POINTS) -> GridSpec:
-    """Grid sized for `state`.
+def _resolution(state: AnalyticWigner) -> tuple[float, float]:
+    """(least extent, largest step) of a grid that resolves `state`.
 
-    Scaling by |scale| < 1 spreads the state as 1/|scale|, and the squeeze
-    stretches one axis by max(squeeze, 1/squeeze).
+    In the state's own coordinates: extent sqrt(2n + 1) + 4.5 and step 3.7 / (sqrt(2n + 1) + 6),
+    beyond W_n's outer ring at sqrt(2n + 1), keep the sampled norm and sigma_qq (relative) within
+    1e-12 for n <= 150. Scaling shrinks the state by |scale|; the squeeze stretches one axis by
+    max(squeeze, 1/squeeze).
     """
-    return GridSpec(8.0 * max(1.0, 1.0 / abs(state.scale)) * max(state.squeeze, 1.0 / state.squeeze), points_per_axis)
+    ring, stretch, scale = math.sqrt(2 * state.fock_index + 1), max(state.squeeze, 1.0 / state.squeeze), abs(state.scale)
+    return (ring + 4.5) * stretch / scale, 3.7 / (ring + 6.0) / scale / stretch
+
+
+def default_grid(states: AnalyticWigner | Iterable[AnalyticWigner], points_per_axis=None, extent=None) -> GridSpec:
+    """The grid of every run: one that resolves each of `states`, one AnalyticWigner or several.
+
+    A given extent or point count is kept, and refused unless it resolves every state
+    (:func:`_resolution`). A missing extent is the least that does, or 8 max(1, 1/|scale|)
+    max(squeeze, 1/squeeze) if wider; missing points are DEFAULT_POINTS, or the fewest even
+    count above it that resolve. The extent is checked first, so no refusal allocates.
+    """
+    states = [states] if isinstance(states, AnalyticWigner) else list(states)
+    least, largest = max(_resolution(s)[0] for s in states), min(_resolution(s)[1] for s in states)
+    names = " and ".join(f"fock{s.fock_index} at scale {s.scale:g}, squeeze {s.squeeze:g}" for s in states)
+    if extent is None:
+        extent = max(least, *(8.0 * max(1.0, 1.0 / abs(s.scale)) * max(s.squeeze, 1.0 / s.squeeze) for s in states))
+    elif extent < least:
+        raise ValueError(f"extent {extent:g} cannot hold {names}: it needs an extent of at least {float(least)!r}")
+    spec = GridSpec(extent, DEFAULT_POINTS if points_per_axis is None else points_per_axis)
+    if not extent <= largest * (MAX_POINTS // 2):  # also before math.ceil could meet an infinite count
+        raise ValueError(f"extent {extent:g} needs a step of at most {largest:.3g} to resolve {names}: "
+                         f"more than the limit of {MAX_POINTS} points per axis")
+    needed = 2 * math.ceil(extent / largest)
+    if points_per_axis is None:
+        return GridSpec(extent, max(DEFAULT_POINTS, needed))
+    if points_per_axis < needed:
+        raise ValueError(f"{points_per_axis} points per axis over extent {extent:g} give step {spec.step:.3g} > "
+                         f"{largest:.3g}, too coarse for {names}: it needs at least {needed} points per axis")
+    return spec
 
 
 def eval_fock_wigner(state: AnalyticWigner, q, p):
@@ -232,13 +265,12 @@ def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
 def require_grid_fits(state: AnalyticWigner, spec: GridSpec) -> None:
     """Raise ValueError unless `spec` can hold `state`; allocates nothing.
 
-    The extent must hold the state: normalization of a state scaled by
-    |scale| < 1 needs extent >= 4 / |scale|. The Fock index must not exceed
-    the points per axis N. No grid of N points resolves such a state: W_n's
-    outer ring sits at radius sqrt(2n + 1) / |scale|, which the extent must
-    cover, and its radial wavenumber reaches 2 sqrt(2n + 1) |scale|, which the
-    step 2 extent / N must Nyquist-sample; both hold only if
-    2n + 1 <= pi N / 4, so n <= N is a generous bound.
+    The loose guard of :func:`sample_to_grid`, which also samples hand-built grids below
+    :func:`default_grid`'s rule. Normalization of a state scaled by |scale| < 1 needs
+    extent >= 4 / |scale|. The Fock index must not exceed the points per axis N: W_n's
+    outer ring sits at radius sqrt(2n + 1) / |scale|, which the extent must cover, and its
+    radial wavenumber 2 sqrt(2n + 1) |scale| must be Nyquist-sampled by the step 2 extent / N;
+    both hold only if 2n + 1 <= pi N / 4, so n <= N is a generous bound.
     """
     if state.fock_index > spec.points_per_axis:
         raise ValueError(

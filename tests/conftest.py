@@ -13,10 +13,8 @@ from wigscale import fock_space, gaussian_cv, moments, phase_space
 def fock_grid(n=0, lam=1.0, kappa=1.0, extent=None, points=512):
     """Sampled (and cached) analytic Fock-state grid."""
     state = phase_space.AnalyticWigner(n, lam, kappa)
-    if extent is None:
-        spec = phase_space.default_grid(state, points)
-    else:
-        spec = phase_space.GridSpec(extent, points)
+    # the default extent at a fixed point count, which may lie below default_grid's step rule
+    spec = phase_space.GridSpec(phase_space.default_grid(state).extent if extent is None else extent, points)
     return phase_space.sample_to_grid(state, spec)
 
 

@@ -4,14 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here and nothing is tuned at runtime.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from conftest import fock_grid, fock_projection, one_mode_uncertainty_matrix, product_sigma, random_single_mode_sigma
-from wigscale import cli, fock_space, gaussian_cv, moments, phase_space
+from wigscale import fock_space, gaussian_cv, moments, phase_space
 
 
 def report(number, label, ok, detail=""):
@@ -25,13 +23,10 @@ def closed_form_fidelity(lam):
 
 
 def overlap_with_ground(lam):
-    # the extent grows as 1/lam; enough points keep the step within the CLI's resolution bound
-    extent = 8.0 * max(1.0, 1.0 / lam)
-    points = max(phase_space.DEFAULT_POINTS, 2 * math.ceil(extent / cli.MAX_FIDELITY_H))
-    spec = phase_space.GridSpec(extent, points)
-    ground = phase_space.sample_to_grid(phase_space.AnalyticWigner(0), spec)
-    scaled = phase_space.sample_to_grid(phase_space.AnalyticWigner(1, scale=lam), spec)
-    return phase_space.overlap(ground, scaled)
+    # one grid that resolves both states, as the CLI's fidelity run samples them
+    ground, scaled = phase_space.AnalyticWigner(0), phase_space.AnalyticWigner(1, scale=lam)
+    spec = phase_space.default_grid([ground, scaled])
+    return phase_space.overlap(phase_space.sample_to_grid(ground, spec), phase_space.sample_to_grid(scaled, spec))
 
 
 def test_criterion_1_fidelity_nonpositivity():

@@ -82,7 +82,9 @@ class TestFidelity:
             "--extent", "8",
         )
         assert code == 2
-        assert "required 40" in err
+        # fock1 scaled by lambda needs an extent of (sqrt(3) + 4.5) / lambda: 62.3 at 0.1 and 11.3 at 0.55
+        assert "2 of 3 lambda values" in err and "first at lambda 0.1: extent 8 cannot hold" in err
+        assert "at least 62.320508075688764; last at lambda 0.55: " in err
 
 
 class TestUncertainty:
@@ -379,6 +381,24 @@ class TestOutputContract:
         assert payload["columns"][0] == "sigma_qq"
         assert isinstance(payload["rows"][0][0], float)
 
+    @pytest.mark.parametrize("command", ["uncertainty", "spectrum", "separability"])
+    def test_json_numbers_are_the_csv_cells(self, capsys, tmp_path, command):
+        # JSON floats are printed at the CSV's 12 significant digits, so they do not follow BLAS's last bits
+        cov = tmp_path / "tmsv.json"
+        run(capsys, "tmsv", "--r", "0.7", "--out", str(cov))
+        state = ("--state", "fock1", "--lambda", "0.61", "--kappa", "1.3")
+        argv = {"uncertainty": ("uncertainty", *state), "spectrum": ("spectrum", *state, "--dim", "16"),
+                "separability": ("separability", "--cov", str(cov), "--modes", "2")}[command]
+        _, text, _ = run(capsys, *argv, "--format", "csv")
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload, meta, (_, rows) = json.loads(out), meta_of(text), parse_csv(text)
+        floats = [(value, meta[key]) for key, value in payload.items() if isinstance(value, float)]
+        floats += [(value, cell) for row, cells in zip(payload["rows"], rows, strict=True)
+                   for value, cell in zip(row, cells, strict=True) if isinstance(value, float)]
+        assert len(floats) > 3 and len(rows) == len(payload["rows"])
+        for value, cell in floats:
+            assert value == float(cell)
+
     def test_out_file_written(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out, _ = run(
@@ -513,7 +533,8 @@ class TestInputBoundary:
         code, out, err = run(capsys, "uncertainty", "--state", "fock100000")
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err.startswith("error: fock index 100000 exceeds the 512 points per axis") and err.count("\n") == 1
+        assert err.startswith("error: extent 451.715 needs a step of at most 0.00816 to resolve fock100000")
+        assert err.endswith(f"more than the limit of {phase_space.MAX_POINTS} points per axis\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("modes", [[2], "two", 2.5, True, 0, -1, None])
     def test_bad_modes_value_rejected(self, capsys, tmp_path, modes):
@@ -619,7 +640,8 @@ class TestExtremeInputs:
     @pytest.mark.parametrize(
         "argv,option",
         [
-            (["uncertainty", "--state", "fock1", "--lambda", "1e200", "--grid", "16"], "--lambda 1e+200"),
+            # the corners of fock220's default grid overflow the Laguerre recurrence
+            (["uncertainty", "--state", "fock220"], "--state fock220"),
             (["uncertainty", "--state", "fock1", "--kappa", "1e-300", "--grid", "16"], "--kappa 1e-300"),
             (["uncertainty", "--state", "fock1", "--extent", "1e300", "--grid", "16"], "--extent 1e+300"),
             (["uncertainty", "--state", "fock1", "--lambda", "1e-200", "--grid", "16"], "--lambda 1e-200"),
@@ -648,10 +670,10 @@ class TestExtremeInputs:
         assert err.endswith("(with --state fock1 --lambda 1e-300)\n")
 
     def test_options_at_their_defaults_not_named(self, capsys):
-        code, _, err = run(capsys, "uncertainty", "--state", "fock1", "--lambda", "1e200", "--kappa", "1",
-                           "--grid", "16", "--format", "json")
+        code, _, err = run(capsys, "uncertainty", "--state", "fock220", "--lambda", "1", "--kappa", "1",
+                           "--grid", "512", "--format", "json")
         assert code == 2
-        assert err.endswith("(with --state fock1 --lambda 1e+200 --grid 16)\n")
+        assert err.endswith("(with --state fock220 --grid 512)\n")
 
     def test_steps_above_the_cap_refused(self, capsys, monkeypatch):
         argv = ["fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--grid", "64"]
@@ -666,80 +688,113 @@ class TestExtremeInputs:
         assert code == 2 and "10000" in err
 
 
-class TestFidelityResolution:
-    # at 0.02 the step bound alone asks for 1143 points, which GridSpec refuses as odd
-    @pytest.mark.parametrize("lam_min,needed", [("0.01", 2286), ("0.02", 1144), ("0.04", 572)])
-    def test_under_resolved_grid_refused(self, capsys, lam_min, needed):
-        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "0.05", "--steps", "3")
+class TestGridRule:
+    @pytest.mark.parametrize("argv,names", [
+        (["--state", "fock1", "--lambda", "1e-320"], "extent"),
+        (["--state", "fock1", "--extent", "1e300"], "extent"),
+        (["--state", "fock1", "--grid", "0"], "points"),
+        (["--state", "fock1", "--grid", "-2"], "points"),
+        (["--state", "fock100000000"], "points"),
+    ])
+    def test_extreme_grid_inputs_refused_before_any_allocation(self, capsys, argv, names):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "uncertainty", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert names in err and peak < 1e6
+
+    # default_grid reads the Fock index: once refused as not normalized, from fock24 on
+    @pytest.mark.parametrize("n", [24, 36, 100, 200])
+    def test_default_grid_resolves_high_fock_states(self, capsys, n):
+        code, out, _ = run(capsys, "uncertainty", "--state", f"fock{n}")
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["sigma_qq"] == row["sigma_pp"] == f"{n + 0.5:g}"
+
+    def test_extent_that_misses_the_ring_refused(self, capsys):
+        # at 512 points this grid once printed sigma_qq = 220.49974201 against 220.5
+        code, out, err = run(capsys, "uncertainty", "--state", "fock220", "--extent", "22")
         assert code == 2 and out == ""
-        assert f"--grid {needed} or more" in err
-        assert phase_space.GridSpec(8.0 / float(lam_min), needed).step <= cli._fidelity_step(float(lam_min))
+        assert err == "error: extent 22 cannot hold fock220 at scale 1, squeeze 1: it needs an extent of at least 25.5\n"
+
+
+def pair_step(lam):
+    """The largest step of a grid that resolves the ground state and the state fock1 scaled by lam."""
+    return min(phase_space._resolution(s)[1] for s in (phase_space.AnalyticWigner(0), phase_space.AnalyticWigner(1, lam)))
+
+
+class TestFidelityResolution:
+    # the default extent 8 / lam_min over the ground state's step 3.7 / 7
+    @pytest.mark.parametrize("lam_min,needed", [("0.01", 3028), ("0.02", 1514), ("0.04", 758)])
+    def test_under_resolved_grid_refused(self, capsys, lam_min, needed):
+        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "0.05", "--steps", "3",
+                             "--grid", "512")
+        assert code == 2 and out == ""
+        assert f"at lambda {lam_min}: " in err and f"it needs at least {needed} points per axis" in err
+        extent = 8.0 / float(lam_min)
+        assert phase_space.GridSpec(extent, needed).step <= pair_step(float(lam_min))
+        assert phase_space.GridSpec(extent, needed - 2).step > pair_step(float(lam_min))
 
     @pytest.mark.parametrize("lam_min", ["0.001", "1e-100"])
-    def test_beyond_the_grid_limit_names_a_lambda_min(self, capsys, lam_min):
-        # the step bound alone would ask for 22858 points at 0.001, and a 99-digit count at 1e-100
+    def test_beyond_the_grid_limit_names_the_limit(self, capsys, lam_min):
+        # the default extent 8 / lam_min needs 30268 points at 0.001, and a 102-digit count at 1e-100
         code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "1", "--steps", "3")
-        assert code == 2 and out == ""
-        assert f"no grid within the limit of {phase_space.MAX_POINTS} points per axis resolves it" in err
-        assert err.rstrip().endswith("use --lambda-min 0.00559 or more with --grid 4096")
-        # the smallest three-digit lambda whose default grid of 4096 points resolves the overlap
-        def resolved(lam):
-            spec = phase_space.default_grid(phase_space.AnalyticWigner(1, lam), phase_space.MAX_POINTS)
-            return spec.step <= cli._fidelity_step(lam)
-        assert resolved(0.00559) and not resolved(0.00558)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: 1 of 3 lambda values have no grid that resolves both states, at lambda {lam_min}: ")
+        assert err.rstrip().endswith(f"more than the limit of {phase_space.MAX_POINTS} points per axis")
 
-    # lambda = 1 is the worst resolved on a fixed extent: 1013.7 resolves it at 4096 points
-    @pytest.mark.parametrize("lam_min,extent,fix", [
-        ("0.01", "2000", "--extent 1010 or less"),
-        # an extent of 1010 cannot hold lambda = 0.001, which needs 4000
-        ("0.001", "5000", "--lambda-min 0.00397 or more and --extent 1010 or less"),
-    ])
-    def test_beyond_the_grid_limit_with_an_extent_names_the_extent(self, capsys, lam_min, extent, fix):
-        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "1", "--steps", "3",
-                             "--extent", extent)
-        assert code == 2 and out == ""
-        assert err.rstrip().endswith(f"at extent {extent}; use {fix} with --grid 4096")
-        spec = phase_space.GridSpec(1010.0, phase_space.MAX_POINTS)
-        assert spec.step <= cli._fidelity_step(1.0)
-        phase_space.require_grid_fits(phase_space.AnalyticWigner(1, 0.00397), spec)
-        with pytest.raises(ValueError, match="grid too small"):
-            phase_space.require_grid_fits(phase_space.AnalyticWigner(1, 0.00396), spec)
+    def test_both_ends_named_in_one_message(self, capsys):
+        # at 0.001 the extent 5000 cannot hold the scaled state; at 1 it needs a step of 3.7 / (sqrt(3) + 6)
+        code, out, err = run(capsys, "fidelity", "--lambda-min", "0.001", "--lambda-max", "1", "--steps", "3",
+                             "--extent", "5000")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        first, last = err.split("; last ")
+        assert "3 of 3 lambda values" in first and "first at lambda 0.001: extent 5000 cannot hold" in first
+        assert first.rstrip().endswith("it needs an extent of at least 6232.050807568877")
+        assert last.startswith("at lambda 1: extent 5000 needs a step of at most 0.479")
+        assert last.rstrip().endswith(f"more than the limit of {phase_space.MAX_POINTS} points per axis")
 
-    # an extent of 4 holds lambda >= 1 only
-    @pytest.mark.parametrize("lam_min,fix", [("1", ""), ("0.5", "--lambda-min 1 or more and ")])
-    def test_beyond_the_grid_limit_past_lambda_one_names_a_lambda_max(self, capsys, lam_min, fix):
-        # the state needs extent 4 once lambda >= 1, where 4096 points resolve the overlap up to lambda 358.4
-        code, out, err = run(capsys, "fidelity", "--lambda-min", lam_min, "--lambda-max", "400", "--steps", "3")
-        assert code == 2 and out == ""
-        assert "at lambda 400 " in err
-        assert err.rstrip().endswith(f"at extent 8; use {fix}--lambda-max 358 or less and --extent 4 with --grid 4096")
-        spec = phase_space.GridSpec(4.0, phase_space.MAX_POINTS)
-        assert spec.step <= cli._fidelity_step(358.0) and spec.step > cli._fidelity_step(359.0)
-        code, out, _ = run(capsys, "fidelity", "--lambda-min", "1", "--lambda-max", "358", "--steps", "2",
-                           "--extent", "4", "--grid", "4096")
-        assert code == 0
-
-    def test_narrow_integrand_refused_at_lambda_above_one(self, capsys, monkeypatch):
-        # a step of 0.7 resolves the ground state but not the overlap at lambda = 2, whose integrand
-        # has width 1 / sqrt(5): the sweep is refused at its worst lambda before anything is sampled
-        argv = ["fidelity", "--lambda-min", "0.5", "--lambda-max", "2", "--steps", "4", "--extent", "179.2"]
-        sampled = []
-        monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: sampled.append(args))
-        code, out, err = run(capsys, *argv, "--grid", "512")
-        assert code == 2 and out == "" and sampled == []
-        assert err.startswith("error: grid step 0.7 at lambda 2 exceeds 0.313") and err.count("\n") == 1
-        assert err.rstrip().endswith("use --grid 1146 or more")
-        monkeypatch.undo()
-        code, out, _ = run(capsys, *argv, "--grid", "1146")
+    def test_far_end_of_a_sweep_at_the_grid_limit(self, capsys):
+        # the least extent of the ground state, 5.5, at 4096 points resolves the overlap up to lambda 178.2
+        spec = phase_space.GridSpec(5.5, phase_space.MAX_POINTS)
+        assert spec.step <= pair_step(178.0) and spec.step > pair_step(179.0)
+        # (fock1 scaled by lambda needs an extent of (sqrt(3) + 4.5) / lambda, within 5.5 from lambda 1.14)
+        argv = ["fidelity", "--lambda-min", "2", "--steps", "2", "--extent", "5.5", "--grid", "4096"]
+        code, out, err = run(capsys, *argv, "--lambda-max", "179")
+        assert code == 2 and out == "" and "1 of 2 lambda values" in err
+        assert "at lambda 179: extent 5.5 needs a step of at most 0.00267" in err
+        code, out, _ = run(capsys, *argv, "--lambda-max", "178")
         assert code == 0
         for row in parse_csv(out)[1]:
             assert float(row[1]) == pytest.approx(float(row[2]), abs=6e-7)
 
-    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 2.0, 8.0, 50.0, 200.0])
+    def test_narrow_integrand_refused_at_lambda_above_one(self, capsys, monkeypatch):
+        # a step of 0.5 resolves the ground state but not the scaled state once lambda >= 1:
+        # the sweep is refused at its first and last such lambda before anything is sampled
+        argv = ["fidelity", "--lambda-min", "0.5", "--lambda-max", "2", "--steps", "4", "--extent", "128"]
+        sampled = []
+        monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: sampled.append(args))
+        code, out, err = run(capsys, *argv, "--grid", "512")
+        assert code == 2 and out == "" and sampled == [] and err.count("\n") == 1
+        assert err.startswith("error: 3 of 4 lambda values have no grid that resolves both states, first at lambda 1: "
+                              "512 points per axis over extent 128 give step 0.5 > 0.479")
+        assert err.rstrip().endswith("it needs at least 1070 points per axis")
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv, "--grid", "1070")
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert float(row[1]) == pytest.approx(float(row[2]), abs=6e-7)
+
+    # 0.905 is where the two states' step bounds meet, the largest error measured
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.905, 1.0, 2.0, 8.0, 50.0, 200.0])
     def test_quadrature_error_at_the_step_bound(self, lam):
-        # the figure in MAX_FIDELITY_H's comment: 5.6e-7 at most, at the bound itself. The product
-        # decays within 34 of its widths, so 96 cells cover it, though not the scaled state alone
-        spec = phase_space.GridSpec(48 * cli._fidelity_step(lam), 96)
+        # 2.3e-7 at most over lambda in [0.02, 200], at the bound itself. The product decays within
+        # 23 of its widths 1 / sqrt(1 + lambda^2), so 96 cells cover it, though not the scaled state alone
+        spec = phase_space.GridSpec(48 * pair_step(lam), 96)
         q, p = np.meshgrid(spec.axis(), spec.axis(), indexing="ij")
         product = (phase_space.eval_fock_wigner(phase_space.AnalyticWigner(0), q, p)
                    * phase_space.eval_fock_wigner(phase_space.AnalyticWigner(1, lam), q, p))
@@ -747,19 +802,28 @@ class TestFidelityResolution:
         assert error <= 5.7e-7
 
     def test_refused_before_any_sampling(self, capsys, monkeypatch):
+        # lambda = 0.0255 and 0.05 resolve; 0.001 does not, and nothing is sampled
         sampled = []
         monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: sampled.append(args))
-        code, _, err = run(capsys, "fidelity", "--lambda-min", "0.01", "--lambda-max", "0.05", "--steps", "3")
-        assert code == 2 and "--grid 2286" in err
+        code, _, err = run(capsys, "fidelity", "--lambda-min", "0.001", "--lambda-max", "0.05", "--steps", "3")
+        assert code == 2 and "1 of 3 lambda values" in err and "at lambda 0.001: " in err
         assert sampled == []
 
     def test_suggested_grid_resolves(self, capsys):
-        code, out, _ = run(
-            capsys, "fidelity", "--lambda-min", "0.04", "--lambda-max", "0.05", "--steps", "2", "--grid", "572"
-        )
+        argv = ["fidelity", "--lambda-min", "0.04", "--lambda-max", "0.05", "--steps", "2"]
+        code, _, err = run(capsys, *argv, "--grid", "512")
+        assert code == 2 and "it needs at least 758 points per axis" in err
+        code, out, _ = run(capsys, *argv, "--grid", "758")
         assert code == 0
         for row in parse_csv(out)[1]:
             assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-6)
+
+    def test_default_sweep_resolves_below_the_old_reach(self, capsys):
+        # refused when fidelity had its own step rule; the default grid of each lambda is now 3028, 1516 and 606 points
+        code, out, _ = run(capsys, "fidelity", "--lambda-min", "0.01", "--lambda-max", "0.05", "--steps", "3")
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert row[1] == row[2]
 
     def test_ground_state_sampled_once_per_grid(self, capsys, monkeypatch):
         # a fixed --extent gives every lambda the same grid: one ground state and 200 scaled states
@@ -767,7 +831,7 @@ class TestFidelityResolution:
         sample = phase_space.sample_to_grid
         monkeypatch.setattr(phase_space, "sample_to_grid", lambda *args: calls.append(args) or sample(*args))
         code, _, _ = run(capsys, "fidelity", "--lambda-min", "0.5", "--lambda-max", "1", "--steps", "200",
-                         "--extent", "8")
+                         "--extent", "16")
         assert code == 0
         assert len(calls) == 201
         assert sum(state.fock_index == 0 for state, _ in calls) == 1
@@ -778,4 +842,4 @@ class TestFidelityResolution:
             "--extent", "100", "--grid", "16",
         )
         assert code == 2
-        assert "required 400" in err and "--grid" not in err
+        assert "it needs an extent of at least 623.2050807568877" in err and "points" not in err

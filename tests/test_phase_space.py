@@ -613,7 +613,8 @@ class TestRealKernels:
                               (18, 1.0, 1.0, 0), (66, 0.6, 1.0, 1), (250, 0.8, 1.3, 4)])
     def test_diagonal_fill_equals_the_zero_table_bit_for_bit(self, points, lam, kappa, n):
         state = AnalyticWigner(n, lam, kappa)
-        self.assert_fill_is_the_zero_table(sample_to_grid(state, phase_space.default_grid(state, points)))
+        spec = GridSpec(phase_space.default_grid(state).extent, points)
+        self.assert_fill_is_the_zero_table(sample_to_grid(state, spec))
 
     @pytest.mark.parametrize("points", [16, 18, 66, 250, 512])
     def test_diagonal_fill_of_a_random_grid_equals_the_zero_table_bit_for_bit(self, points):

@@ -518,6 +518,42 @@ class TestGridSize:
             GridSpec(8.0, pts)
 
 
+class TestDefaultGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 60), st.floats(0.3, 3.0), st.floats(0.5, 2.0))
+    def test_default_grid_resolves_the_moments_with_the_fewest_points(self, n, lam, kappa):
+        state = AnalyticWigner(n, lam, kappa)
+        spec = phase_space.default_grid(state)
+        m = moments.moments_from_grid(phase_space.sample_to_grid(state, spec))
+        assert m.sigma_qq == pytest.approx((n + 0.5) / (lam * kappa) ** 2, rel=1e-11)
+        assert m.sigma_pp == pytest.approx((n + 0.5) * kappa**2 / lam**2, rel=1e-11)
+        # the fewest even count from DEFAULT_POINTS whose step meets the rule
+        largest = phase_space._resolution(state)[1]
+        points = spec.points_per_axis
+        assert points % 2 == 0 and points >= phase_space.DEFAULT_POINTS and spec.step <= largest
+        assert points == phase_space.DEFAULT_POINTS or GridSpec(spec.extent, points - 2).step > largest
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("lam,kappa", [(1.0, 1.0), (0.5, 1.3), (2.0, 0.7)])
+    def test_default_grid_below_n_6_is_the_extent_8_rule(self, n, lam, kappa):
+        spec = phase_space.default_grid(AnalyticWigner(n, lam, kappa))
+        assert spec == GridSpec(8.0 * max(1.0, 1.0 / lam) * max(kappa, 1.0 / kappa), phase_space.DEFAULT_POINTS)
+
+    def test_given_values_are_kept_or_refused(self):
+        state = AnalyticWigner(3)
+        assert phase_space.default_grid(state, 64) == GridSpec(8.0, 64)  # positional points, as bench/ calls it
+        assert phase_space.default_grid(state, extent=7.5) == GridSpec(7.5, 512)
+        with pytest.raises(ValueError, match=r"extent 7 cannot hold fock3 .* at least 7\.145"):
+            phase_space.default_grid(state, extent=7.0)
+        with pytest.raises(ValueError, match="it needs at least 38 points per axis"):
+            phase_space.default_grid(state, 36)
+
+    def test_several_states_share_the_widest_extent_and_finest_step(self):
+        ground, scaled = AnalyticWigner(0), AnalyticWigner(1, 0.05)
+        assert phase_space.default_grid([ground, scaled]) == GridSpec(160.0, 606)
+        assert phase_space.default_grid(scaled) == GridSpec(160.0, 512)
+
+
 @st.composite
 def gaussian_states(draw, min_modes=2, max_modes=4):
     """A valid N-mode covariance S diag(nu, nu) S^T (Williamson form), min_modes <= N <= max_modes,
@@ -592,8 +628,10 @@ def test_cli_rows_follow_the_report(tmp_path_factory, case, grid, data):
     payload = json.loads(out.getvalue())
     report = gaussian_cv.separability_scan(cov, partition, grid)
     assert payload["verdict"] == report.verdict
-    assert [row[0] for row in payload["rows"]] == sorted(grid)
-    for lam, _, violation, within in payload["rows"]:
+    # JSON prints lambda at the CSV's 12 digits; the flags follow the exact lambda of the row
+    assert len(payload["rows"]) == len(grid)
+    for lam, (printed, _, violation, within) in zip(sorted(grid), payload["rows"]):
+        assert printed == float(cli._fmt(lam))
         assert violation == (lam in report.violations)
         assert within == (abs(lam) <= 1.0)
 
