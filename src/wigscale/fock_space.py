@@ -32,7 +32,7 @@ HERMITE_INDEX_LIMIT = 200
 DEFAULT_DIM = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of a Fock-basis operator, sorted ascending."""
 

@@ -24,7 +24,6 @@ __all__ = [
     "GridWigner",
     "PositionDensity",
     "default_grid",
-    "require_grid_fits",
     "eval_fock_wigner",
     "sample_to_grid",
     "apply_scaling",
@@ -53,9 +52,6 @@ _MAP_ROWS = 64
 
 #: rows and columns per tile of the mirror that fills rho's upper triangle
 _MIRROR_TILE = 64
-
-#: sampling rejects extents below this multiple of max(1, 1/|scale|)
-_MIN_EXTENT_FACTOR = 4.0
 
 
 class ExtentOverflowError(ValueError, ArithmeticError):
@@ -193,6 +189,10 @@ def default_grid(states: AnalyticWigner | Iterable[AnalyticWigner], points_per_a
     (:func:`_resolution`). A missing extent is the least that does, or 8 max(1, 1/|scale|)
     max(squeeze, 1/squeeze) if wider; missing points are DEFAULT_POINTS, or the fewest even
     count above it that resolve. The extent is checked first, so no refusal allocates.
+
+    Raises:
+        ValueError: if a given extent or point count cannot resolve every state, or more than
+            MAX_POINTS points per axis are needed; :func:`sample_to_grid` checks its grid here.
     """
     states = [states] if isinstance(states, AnalyticWigner) else list(states)
     least, largest = max(_resolution(s)[0] for s in states), min(_resolution(s)[1] for s in states)
@@ -262,29 +262,6 @@ def _laguerre(n: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def require_grid_fits(state: AnalyticWigner, spec: GridSpec) -> None:
-    """Raise ValueError unless `spec` can hold `state`; allocates nothing.
-
-    The loose guard of :func:`sample_to_grid`, which also samples hand-built grids below
-    :func:`default_grid`'s rule. Normalization of a state scaled by |scale| < 1 needs
-    extent >= 4 / |scale|. The Fock index must not exceed the points per axis N: W_n's
-    outer ring sits at radius sqrt(2n + 1) / |scale|, which the extent must cover, and its
-    radial wavenumber 2 sqrt(2n + 1) |scale| must be Nyquist-sampled by the step 2 extent / N;
-    both hold only if 2n + 1 <= pi N / 4, so n <= N is a generous bound.
-    """
-    if state.fock_index > spec.points_per_axis:
-        raise ValueError(
-            f"fock index {state.fock_index} exceeds the {spec.points_per_axis} points per axis: "
-            f"no grid of that size resolves W_n (it needs 2n + 1 <= pi N / 4)"
-        )
-    required = _MIN_EXTENT_FACTOR * max(1.0, 1.0 / abs(state.scale))
-    if spec.extent < required * (1.0 - 1e-12):
-        raise ValueError(
-            f"grid too small: extent {spec.extent:g} < required {required:g} "
-            f"for scale {state.scale:g}"
-        )
-
-
 def sample_to_grid(state: AnalyticWigner, spec: GridSpec) -> GridWigner:
     """Sample an analytic state at the cell centers of `spec`.
 
@@ -297,9 +274,9 @@ def sample_to_grid(state: AnalyticWigner, spec: GridSpec) -> GridWigner:
         spec: target grid, such as :func:`default_grid` of the state.
 
     Raises:
-        ValueError: from :func:`require_grid_fits`, before any N x N work.
+        ValueError: from :func:`default_grid`, unless `spec` resolves the state, before any N x N work.
     """
-    require_grid_fits(state, spec)
+    default_grid(state, spec.points_per_axis, spec.extent)
     # W depends on q and p only through q^2 and p^2, and the axis is exactly antisymmetric,
     # so one quadrant evaluated and mirrored equals the whole grid evaluated, bit for bit
     half = spec.points_per_axis // 2

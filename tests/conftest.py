@@ -13,9 +13,18 @@ from wigscale import fock_space, gaussian_cv, moments, phase_space
 def fock_grid(n=0, lam=1.0, kappa=1.0, extent=None, points=512):
     """Sampled (and cached) analytic Fock-state grid."""
     state = phase_space.AnalyticWigner(n, lam, kappa)
-    # the default extent at a fixed point count, which may lie below default_grid's step rule
+    # the default extent at a fixed point count; sample_to_grid refuses it unless it resolves the state
     spec = phase_space.GridSpec(phase_space.default_grid(state).extent if extent is None else extent, points)
     return phase_space.sample_to_grid(state, spec)
+
+
+def evaluated_grid(state, spec):
+    """The array sample_to_grid returns for `state` on `spec`, built without its resolution check.
+
+    For tests of a map or a transform against a reference on a deliberately small grid.
+    """
+    x = spec.axis()
+    return phase_space.GridWigner(spec, phase_space.eval_fock_wigner(state, x[:, None], x))
 
 
 @functools.lru_cache(maxsize=None)

@@ -204,6 +204,14 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="read-only"):
             spec.eigenvalues[0] = 0.0
 
+    def test_compared_and_hashed_by_identity(self):
+        # an array field has no single truth value, so a spectrum, like the other array
+        # records, is equal only to itself
+        fm = fock_projection(1, lam=0.5, dim=8)
+        a, b = spectrum(fm), spectrum(fm)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
 
 class TestMomentMatrix:
     def test_ground_state_quadrature_moments(self):

@@ -89,7 +89,8 @@ class TestSqueezeSymplectic:
         # q variance shrinks by kappa^2, p variance grows by kappa^2
         np.testing.assert_allclose(out.matrix, np.diag([0.125, 2.0]), atol=1e-15)
         # matches the moments of the exactly squeezed vacuum W_0(2q, p/2), sampled
-        w = phase_space.sample_to_grid(phase_space.AnalyticWigner(0, 1.0, 2.0), phase_space.GridSpec(8.0, 1024))
+        state = phase_space.AnalyticWigner(0, 1.0, 2.0)
+        w = phase_space.sample_to_grid(state, phase_space.default_grid(state, 1024))
         m = moments.moments_from_grid(w)
         assert m.sigma_qq == pytest.approx(out.matrix[0, 0], abs=1e-5)
         assert m.sigma_pp == pytest.approx(out.matrix[1, 1], abs=1e-5)

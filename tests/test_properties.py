@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import fock_grid
+from conftest import evaluated_grid, fock_grid
 from wigscale import cli, fock_space, gaussian_cv, moments, phase_space
 from wigscale._validated import HERMITICITY_TOL, hermiticity_residual
 from wigscale.phase_space import AnalyticWigner, GridSpec, _diagonal_map
@@ -25,7 +25,7 @@ entries = st.floats(-10.0, 10.0)
 
 
 def grid(n, extent, pts, kappa=1.0):
-    return phase_space.sample_to_grid(AnalyticWigner(n, 1.0, kappa), GridSpec(extent, pts))
+    return evaluated_grid(AnalyticWigner(n, 1.0, kappa), GridSpec(extent, pts))
 
 
 def source_indices(pts, a, b):
