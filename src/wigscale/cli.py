@@ -84,10 +84,29 @@ def _make_grid(args, *states: phase_space.AnalyticWigner) -> phase_space.GridSpe
     return phase_space.default_grid(states, args.grid, args.extent)
 
 
-def _state_pipeline(args):
+def _alias_free_grid(args, state: phase_space.AnalyticWigner) -> phase_space.GridSpec:
+    """The grid of a round trip: the state's grid, with N points where 4 extent^2 <= pi N.
+
+    rho(x, x') reaches |x - x'| = 2 extent, and the p-integral over the step h = 2 extent / N
+    has period pi / h in x - x', so both transforms alias on fewer points. Missing points are
+    default_grid's, raised to the fewest even count that meets it; a given count below it is refused.
+    """
+    spec = _make_grid(args, state)
+    least = 4.0 * spec.extent * spec.extent / math.pi  # inf for an extent past ~1e154
+    needed = 2 * math.ceil(least / 2) if least < math.inf else least
+    if needed > phase_space.MAX_POINTS:
+        raise ValueError(f"a round trip over extent {spec.extent:g} needs at least {needed:g} points per axis "
+                         f"(4 extent^2 <= pi N): more than the limit of {phase_space.MAX_POINTS}")
+    if args.grid is not None and args.grid < needed:
+        raise ValueError(f"{args.grid} points per axis alias in a round trip over extent {spec.extent:g}: "
+                         f"it needs at least {needed} (4 extent^2 <= pi N)")
+    return spec if spec.points_per_axis >= needed else phase_space.GridSpec(spec.extent, needed)
+
+
+def _state_pipeline(args, make_grid=_make_grid):
     """The requested state sampled on its grid, and the metadata naming it."""
     state = phase_space.AnalyticWigner(_parse_state(args.state), args.lam, args.kappa)
-    grid = phase_space.sample_to_grid(state, _make_grid(args, state))
+    grid = phase_space.sample_to_grid(state, make_grid(args, state))
     return grid, {"state": args.state, "lambda": args.lam, "kappa": args.kappa}
 
 
@@ -257,7 +276,7 @@ def _run_tmsv(args) -> str:
 
 
 def _run_roundtrip(args) -> str:
-    grid, meta = _state_pipeline(args)
+    grid, meta = _state_pipeline(args, _alias_free_grid)
     spec, norm = grid.spec, grid.norm()
     n = spec.points_per_axis
     inner = slice(n // 4, 3 * n // 4)

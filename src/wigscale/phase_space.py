@@ -41,7 +41,8 @@ MAX_POINTS = 4096
 
 #: peak bytes per grid point of density_to_wigner(wigner_to_density(w)): the buffers grow as
 #: n^2, and the tracemalloc peak at 512 points is 32.0 bytes for each of the 512^2 points
-#: (wigner_to_density alone peaks at 24, and density_to_wigner at 16 beside rho's 16)
+#: (wigner_to_density alone peaks at 24, and density_to_wigner at 16 beside rho's 16 for a
+#: complex rho, at 12 for a real one)
 _TRANSFORM_BYTES_PER_POINT = 32
 
 #: columns per FFT block of the half-cell shift
@@ -475,6 +476,11 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     diagonal (:func:`_mirror_lower`), so rho is exactly Hermitian with an
     exactly real diagonal.
 
+    A W even in p (W[:, ::-1] equal to W, as every scaled or squeezed Fock state
+    is) gives a real rho: the axis is exactly antisymmetric and numpy's sin exactly
+    odd, so each sin term meets its exact negative. The sin products are then
+    skipped and rho's imaginary part is +0.0; its real part is the same either way.
+
     Raises:
         ValueError: if the input norm deviates from 1 by more than NORM_TOL.
     """
@@ -483,20 +489,24 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     h = w.spec.step
     x = w.spec.axis()
     scale = h / (2.0 * np.pi)
+    # for W even in p each sin term meets its exact negative at -p, so G is real: only the cos
+    # products run, and rho's imaginary part stays the +0.0 it is allocated with
+    funcs = (np.cos,) if np.array_equal(w.values, w.values[:, ::-1]) else (np.cos, np.sin)
     # G[s, d] = (h / 2 pi) * sum_k W((x_i + x_j)/2, p_k) e^{i p_k d h}, s = i + j, d = i - j >= 0;
     # the odd parity first, so its half-cell-shifted rows are freed before rho exists
     shifted = _half_cell_shift(w.values)
     odd_freqs = np.arange(1, n, 2) * h
-    odd = [_scaled_product(shifted, func, x, odd_freqs, scale) for func in (np.cos, np.sin)]
+    odd = [_scaled_product(shifted, func, x, odd_freqs, scale) for func in funcs]
     del shifted
-    rho = np.empty((n, n), dtype=complex)
-    _fill_rows(rho.real, odd[0], 1)
-    _fill_rows(rho.imag, odd[1], 1)
-    del odd
+    rho = np.zeros((n, n), dtype=complex)
+    parts = (rho.real, rho.imag)
+    for part, g in zip(parts, odd):
+        _fill_rows(part, g, 1)
+    del odd, g
     # the even parity one product at a time, each freed once written
     even_freqs = np.arange(0, n, 2) * h
-    _fill_rows(rho.real, _scaled_product(w.values, np.cos, x, even_freqs, scale), 0)
-    _fill_rows(rho.imag, _scaled_product(w.values, np.sin, x, even_freqs, scale), 0)
+    for part, func in zip(parts, funcs):
+        _fill_rows(part, _scaled_product(w.values, func, x, even_freqs, scale), 0)
     _mirror_lower(rho)
     return PositionDensity(w.spec, frozen(rho))
 
@@ -513,9 +523,11 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
     over its positive half: at -p the cos term is the same and the sin term
     changes sign. W is built in place: the real anti-diagonals are gathered
     into its left half, the cos product is written into its right half, and
-    the combined halves then overwrite both. Round-tripping
-    :func:`wigner_to_density` reproduces the input to near machine precision
-    on the interior of the grid.
+    the combined halves then overwrite both. A real rho, which
+    :func:`wigner_to_density` returns for a W even in p, skips the sin product,
+    whose entries are all +0.0, and combines the halves with the scalar +0.0:
+    bit for bit what the product gave. Round-tripping :func:`wigner_to_density` reproduces
+    the input to near machine precision on the interior of the grid.
     """
     n = rho.spec.points_per_axis
     half = n // 2
@@ -535,8 +547,10 @@ def density_to_wigner(rho: PositionDensity) -> GridWigner:
         out[:, 1:] *= 2.0
         return out
 
-    # the sin product first, so that its gathered input is freed before W exists
-    sin_part = gather(flat.imag, np.empty((n, half))) @ np.sin(phase)
+    # the sin product first, so that its gathered input is freed before W exists; a real rho's
+    # is +0.0 throughout, and the scalar +0.0 stands for it: cos - 0.0 keeps a -0.0 in the left
+    # half, and cos + 0.0 makes it +0.0 in the right half, as the product did
+    sin_part = gather(flat.imag, np.empty((n, half))) @ np.sin(phase) if rho.values.imag.any() else 0.0
     w = np.empty((n, n))
     np.matmul(gather(flat.real, w[:, :half]), np.cos(phase), out=w[:, half:])
     del phase

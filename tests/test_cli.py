@@ -347,11 +347,33 @@ class TestRoundtrip:
         assert float(row["max_abs_error_interior"]) <= bound
         assert float(row["norm_drift"]) <= 1e-5
 
+    @pytest.mark.parametrize("lam,points", [(0.4, 512), (0.3, 906), (0.2, 2038)])
+    def test_default_grid_is_free_of_aliasing(self, capsys, lam, points):
+        # the default 512 points, or the fewest even N above it with 4 extent^2 <= pi N on the
+        # extent 8 / lambda: 512 points hold lambda = 0.4, and at 0.3 they read norm_drift 0.533
+        code, out, _ = run(capsys, "roundtrip", "--state", "fock1", "--lambda", str(lam), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["grid_points"] == points
+        assert 4 * payload["extent"] ** 2 <= np.pi * points
+        assert points == 512 or np.pi * (points - 2) < 4 * payload["extent"] ** 2
+        error, drift = payload["rows"][0]
+        assert error <= 1e-14 and drift <= 1e-14
+
+    @pytest.mark.parametrize("argv,named", [(["--lambda", "0.3", "--grid", "904"], "906"),
+                                            (["--lambda", "0.6", "--extent", "30", "--grid", "1144"], "1146"),
+                                            (["--lambda", "0.1"], "8150"), (["--lambda", "1e-155"], "inf")])
+    def test_aliasing_grid_refused_naming_the_count(self, capsys, argv, named):
+        code, out, err = run(capsys, "roundtrip", "--state", "fock1", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at least {named}" in err and "4 extent^2 <= pi N" in err
 
     def test_peak_memory_at_512_points(self, capsys):
-        # rho (16 bytes a point) beside the inverse's peak (16) and the input grid's kept interior
-        # (2): the grid itself (8) is dropped before the inverse runs. 34.25 measured; the
-        # allowance covers the parser and the rendered table
+        # the grid (8 bytes a point) and its kept interior (2) beside wigner_to_density's peak (24),
+        # 34.2 measured; the grid is dropped before the inverse runs, which holds rho (16) beside
+        # 12 for this real rho (16 for a complex one). The allowance covers the parser and the
+        # rendered table
         argv = ["roundtrip", "--state", "fock1", "--lambda", "0.6"]
         assert run(capsys, *argv)[0] == 0  # untraced, so numpy's FFT plan for the length is cached already
         tracemalloc.start()
@@ -361,7 +383,7 @@ class TestRoundtrip:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= (16 + 16 + 2) * 512**2 + 128 * 1024
+        assert peak <= (8 + 2 + 24) * 512**2 + 128 * 1024
 
 
 class TestOutputContract:

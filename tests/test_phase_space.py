@@ -648,7 +648,9 @@ class TestRealKernels:
             # the parity split takes the same dot product for every entry it keeps; BLAS may
             # block the half-width product differently, which moves the last bit of a few entries
             ref = full_table_wigner_to_density(w).values
-            assert np.abs(rho.values - ref).max() <= 2 * np.finfo(float).eps * np.abs(ref).max()
+            assert np.abs(rho.values.real - ref.real).max() <= 2 * np.finfo(float).eps * np.abs(ref).max()
+            # a sampled W is even in p, so rho is real: the reference's imaginary part is rounding noise
+            assert not rho.values.imag.any() and not np.signbit(rho.values.imag).any()
             back = density_to_wigner(rho).values
             assert np.abs(back - full_range_density_to_wigner(rho)).max() <= 1e-15
             checked += 1
@@ -657,16 +659,21 @@ class TestRealKernels:
         assert checked == 24
 
     @staticmethod
-    def assert_fill_is_the_zero_table(w):
+    def assert_fill_is_the_zero_table(w, even_in_p):
         # the signs of zero included: mirrored imaginary entries are written as 0.0 - x, so the
-        # diagonal's imaginary part reads +0.0
+        # diagonal's imaginary part reads +0.0. For W even in p the sin products are skipped:
+        # rho's imaginary part is +0.0 everywhere, where the reference's holds rounding noise,
+        # and the reference is compared with its imaginary part zeroed
+        assert np.array_equal(w.values, w.values[:, ::-1]) == even_in_p
         rho = wigner_to_density(w)
         assert not np.signbit(rho.values.diagonal().imag).any()
-        ref = zero_table_wigner_to_density(w)
-        assert np.array_equal(bits(rho.values), bits(ref.values))
-        del ref
-        assert np.array_equal(bits(density_to_wigner(rho).values),
-                              bits(density_to_wigner(zero_table_wigner_to_density(w)).values))
+        ref = zero_table_wigner_to_density(w).values
+        if even_in_p:
+            assert not rho.values.imag.any() and not np.signbit(rho.values.imag).any()
+            ref = ref.real.astype(complex)
+        assert np.array_equal(bits(rho.values), bits(ref))
+        ref = phase_space.PositionDensity(w.spec, ref)
+        assert np.array_equal(bits(density_to_wigner(rho).values), bits(density_to_wigner(ref).values))
         return rho
 
     # the grids of 18, 66 and 250 points have an odd n/2, so a parity's product has an odd width
@@ -677,7 +684,7 @@ class TestRealKernels:
     def test_diagonal_fill_equals_the_zero_table_bit_for_bit(self, points, lam, kappa, n):
         state = AnalyticWigner(n, lam, kappa)
         spec = GridSpec(phase_space.default_grid(state).extent, points)
-        self.assert_fill_is_the_zero_table(evaluated_grid(state, spec))
+        self.assert_fill_is_the_zero_table(evaluated_grid(state, spec), even_in_p=True)
 
     @pytest.mark.parametrize("points", [16, 18, 66, 250, 512])
     def test_diagonal_fill_of_a_random_grid_equals_the_zero_table_bit_for_bit(self, points):
@@ -685,8 +692,25 @@ class TestRealKernels:
         spec = GridSpec(8.0, points)
         values = np.random.default_rng(points).standard_normal((points, points))
         values /= values.sum() * spec.quadrature_weight
-        rho = self.assert_fill_is_the_zero_table(phase_space.GridWigner(spec, values))
+        rho = self.assert_fill_is_the_zero_table(phase_space.GridWigner(spec, values), even_in_p=False)
         assert np.count_nonzero(rho.values.imag) == points * (points - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(half_points=st.integers(8, 160), extent=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_fill_of_a_grid_even_in_p_equals_the_zero_table_bit_for_bit(self, half_points, extent, seed, data):
+        # W made exactly even in p skips the sin products; the same W with one cell one ulp away
+        # from its mirror takes the full path, and both of its parts are the reference's
+        points = 2 * half_points
+        spec = GridSpec(extent, points)
+        values = np.random.default_rng(seed).standard_normal((points, points))
+        values = (values + values[:, ::-1]) / 2
+        values /= values.sum() * spec.quadrature_weight
+        self.assert_fill_is_the_zero_table(phase_space.GridWigner(spec, values), even_in_p=True)
+        i, j = data.draw(st.integers(0, points - 1)), data.draw(st.integers(0, points - 1))
+        values[i, j] = np.nextafter(values[i, j], data.draw(st.sampled_from([-np.inf, np.inf])))
+        rho = self.assert_fill_is_the_zero_table(phase_space.GridWigner(spec, values), even_in_p=False)
+        assert rho.values.imag.any()
 
     @pytest.mark.parametrize("points", [16, 18, 64, 250, 512])
     def test_half_range_inverse_drops_only_zero_diagonals(self, points):
@@ -713,27 +737,38 @@ class TestRealKernels:
     @pytest.mark.parametrize("points", [16, 18, 66, 250, 512, 1024])
     def test_inverse_equals_the_complex_buffer_reference_bit_for_bit(self, points):
         # a Hermitian rho with about a third of its entries zeroed in pairs, so zeros meet both
-        # gathers; 18, 66 and 250 points have an odd n/2
+        # gathers; 18, 66 and 250 points have an odd n/2. A real rho, whose zeros here are -0.0,
+        # skips the sin product and must still read the reference's cos -+ (+0.0)
         spec = GridSpec(8.0, points)
         rng = np.random.default_rng(points)
-        a = rng.standard_normal((points, points)) + 1j * rng.standard_normal((points, points))
-        a[rng.random((points, points)) < 0.3] = 0.0
-        a = a + a.conj().T
-        assert (a == 0).any()
-        rho = phase_space.PositionDensity(spec, a)
-        assert np.array_equal(bits(density_to_wigner(rho).values), bits(complex_buffer_density_to_wigner(rho)))
+        for complex_valued in (True, False):
+            a = rng.standard_normal((points, points)) + 1j * rng.standard_normal((points, points))
+            a[rng.random((points, points)) < 0.3] = 0.0
+            a = a + a.conj().T
+            if not complex_valued:
+                a = a.real.copy()
+                a[a == 0] = -0.0
+            assert (a == 0).any() and a.imag.any() == complex_valued
+            rho = phase_space.PositionDensity(spec, a.astype(complex))
+            assert np.array_equal(bits(density_to_wigner(rho).values), bits(complex_buffer_density_to_wigner(rho)))
 
-    @pytest.mark.parametrize("transform,bytes_per_point", [(wigner_to_density, 24), (density_to_wigner, 16)])
+    @pytest.mark.parametrize("transform,bytes_per_point",
+                             [(wigner_to_density, 24), (density_to_wigner, 16), (density_to_wigner, 12)])
     def test_transform_peak_memory_at_1024_points(self, transform, bytes_per_point):
         # the README's figures: wigner_to_density holds rho (16 bytes a point) beside the two
-        # half-width odd products (4 each); density_to_wigner peaks (16.0 measured) while W (8)
-        # takes the cos product beside the sin product (4) and the n/2 x n/2 phase and cos tables
-        # (2 each); before it, the imaginary anti-diagonals (4) sit beside the sin table, the
-        # phases and that product. The allowance covers eight axis-length vectors and numpy's
-        # iterator buffer (getbufsize() doubles), which the strided writes into W use
+        # half-width odd products (4 each); density_to_wigner of a complex rho peaks (16.0
+        # measured) while W (8) takes the cos product beside the sin product (4) and the
+        # n/2 x n/2 phase and cos tables (2 each); before it, the imaginary anti-diagonals (4) sit
+        # beside the sin table, the phases and that product. A real rho, from a W even in p,
+        # skips the sin product (12.0 measured). The allowance covers eight axis-length vectors
+        # and numpy's iterator buffer (getbufsize() doubles), which the strided writes into W use
         state = AnalyticWigner(1, 0.5)
         w = sample_to_grid(state, phase_space.default_grid(state, 1024))
+        complex_rho = transform is density_to_wigner and bytes_per_point == 16
+        if complex_rho:  # W moved one cell along p, so it is no longer even in p
+            w = phase_space.GridWigner(w.spec, np.roll(w.values, 1, axis=1))
         rho = wigner_to_density(w)  # untraced, so numpy's FFT plan for the length is cached already
+        assert rho.values.imag.any() == complex_rho
         source = w if transform is wigner_to_density else rho
         tracemalloc.start()
         try:
