@@ -185,11 +185,11 @@ def separability_scan(
 ) -> SeparabilityReport:
     """Scan the partial-scaling separability criterion over a lambda grid.
 
-    For each lambda, applies :func:`partial_scale` with that lambda to every
-    mode in `mode_partition`; once every point is scaled (and the input state
-    checked), records the minimum eigenvalue of each scaled uncertainty
-    matrix. Separable states keep it nonnegative for all 0 < |lambda| <= 1, so
-    any violation there certifies entanglement; no violation is inconclusive.
+    For each lambda in grid order, applies :func:`partial_scale` with that
+    lambda to every mode in `mode_partition` and records the minimum
+    eigenvalue of the scaled uncertainty matrix. Separable states keep it
+    nonnegative for all 0 < |lambda| <= 1, so any violation there certifies
+    entanglement; no violation is inconclusive.
 
     Args:
         cov: covariance of a valid state (invalid input is an error, not
@@ -199,37 +199,23 @@ def separability_scan(
         tol: relative tolerance of the :func:`moments.is_psd` test at each point.
 
     Raises:
-        ValueError: invalid input state, empty grid, the first zero or
-            non-finite lambda in grid order (named), mode indices outside
-            1..N or not whole, or a tolerance that is not finite and
-            nonnegative.
+        ValueError: in this order, for a tolerance that is not finite and
+            nonnegative, an empty grid, mode indices outside 1..N or not
+            whole, or an invalid input state; then naming the first lambda
+            in grid order that is zero or non-finite.
         ScaleOverflowError: naming the first lambda in grid order whose
-            scaled covariance overflows; no eigenvalue is computed before it.
+            scaled covariance overflows, if no zero or non-finite one
+            precedes it.
     """
     check_tolerance(tol)
     lam_values = [float(lam) for lam in lam_grid]
     if not lam_values:
         raise ValueError("lambda grid must not be empty")
-    for lam in lam_values:
-        if lam == 0.0:
-            raise ValueError(f"scaling parameters must be nonzero, got {lam}")
-        if not math.isfinite(lam):
-            raise ValueError(f"scaling parameters must be finite, got {lam}")
     modes = sorted(set(mode_partition))
     if not modes:
         raise ValueError("mode partition must not be empty")
     for mode in modes:
         _check_mode(cov, mode)
-    points = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lam in lam_values:
-            scaled = cov
-            try:
-                for mode in modes:
-                    scaled = partial_scale(scaled, mode, lam)
-            except ValueError:  # lambda and the modes are checked above: only a non-finite entry is refused here
-                raise ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix") from None
-            points.append(scaled)
     ok, min_eig = is_valid_state(cov)
     if not ok:
         raise ValueError(
@@ -239,11 +225,22 @@ def separability_scan(
 
     min_eigenvalues = []
     violations = []
-    for lam, scaled in zip(lam_values, points):
-        ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
-        min_eigenvalues.append(low)
-        if not ok and abs(lam) <= 1.0:
-            violations.append(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in lam_values:
+            if lam == 0.0:
+                raise ValueError(f"scaling parameters must be nonzero, got {lam}")
+            if not math.isfinite(lam):
+                raise ValueError(f"scaling parameters must be finite, got {lam}")
+            scaled = cov
+            try:
+                for mode in modes:
+                    scaled = partial_scale(scaled, mode, lam)
+            except ValueError:  # lambda and the modes are checked: only a non-finite entry is refused here
+                raise ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix") from None
+            ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
+            min_eigenvalues.append(low)
+            if not ok and abs(lam) <= 1.0:
+                violations.append(lam)
     return SeparabilityReport(lam_values, min_eigenvalues, violations, tol)
 
 

@@ -444,21 +444,23 @@ def _fill_rows(part: np.ndarray, g: np.ndarray, par: int) -> None:
         part[i, i - par::-2] = flat[(i - par) * half::1 - half][:(i - par) // 2 + 1]
 
 
-def _mirror_lower(rho: np.ndarray) -> None:
-    """Fill rho's upper triangle with the conjugate of its lower one, in tiles that stay in cache.
+def _mirror_lower(parts: tuple[np.ndarray, ...]) -> None:
+    """Fill the upper triangle of rho's parts from their lower one, in tiles that stay in cache.
 
-    The imaginary part is written as 0.0 - x, so a zero reads +0.0 there and on the diagonal, whose
-    imaginary part is then exactly 0. A tile on the diagonal is read from its own lower triangle.
+    `parts` is rho's real part, copied, then its imaginary part if the fills wrote one, written as
+    0.0 - x so that a zero reads +0.0 there and on the diagonal (a part left out stays +0.0 as
+    allocated). A tile on the diagonal is read from its own lower triangle.
     """
-    n = rho.shape[0]
-    re, im = rho.real, rho.imag
+    real, *imag = parts
+    n = real.shape[0]
     on_and_above = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool))
     for a in range(0, n, _MIRROR_TILE):
         for b in range(a, n, _MIRROR_TILE):
             rows, cols = slice(a, a + _MIRROR_TILE), slice(b, b + _MIRROR_TILE)
             where = on_and_above[:n - a, :n - a] if a == b else True
-            np.copyto(re[rows, cols], re[cols, rows].T, where=where)
-            np.subtract(0.0, im[cols, rows].T, out=im[rows, cols], where=where)
+            np.copyto(real[rows, cols], real[cols, rows].T, where=where)
+            for part in imag:
+                np.subtract(0.0, part[cols, rows].T, out=part[rows, cols], where=where)
 
 
 def wigner_to_density(w: GridWigner) -> PositionDensity:
@@ -499,7 +501,7 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     odd = [_scaled_product(shifted, func, x, odd_freqs, scale) for func in funcs]
     del shifted
     rho = np.zeros((n, n), dtype=complex)
-    parts = (rho.real, rho.imag)
+    parts = (rho.real, rho.imag)[:len(funcs)]
     for part, g in zip(parts, odd):
         _fill_rows(part, g, 1)
     del odd, g
@@ -507,7 +509,7 @@ def wigner_to_density(w: GridWigner) -> PositionDensity:
     even_freqs = np.arange(0, n, 2) * h
     for part, func in zip(parts, funcs):
         _fill_rows(part, _scaled_product(w.values, func, x, even_freqs, scale), 0)
-    _mirror_lower(rho)
+    _mirror_lower(parts)
     return PositionDensity(w.spec, frozen(rho))
 
 

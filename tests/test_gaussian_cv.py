@@ -1,8 +1,10 @@
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import warnings
 
 from conftest import product_sigma, random_single_mode_sigma
 from wigscale import moments, phase_space
@@ -249,17 +251,40 @@ class TestSeparabilityScan:
     @pytest.mark.parametrize("modes,grid,named", [({1}, [1e-160, 1.0], "1e-160"),
                                                   ({1, 2}, [0.5, -1e-155, 1e-150], "-1e-155"),
                                                   ({2}, [-1.0, 5e-324], "5e-324")])
-    def test_overflowing_lambda_named_before_eigen_work(self, monkeypatch, modes, grid, named):
-        def no_eigenvalues(matrix):
-            raise AssertionError("eigenvalues computed before the overflow was refused")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    def test_overflowing_lambda_named(self, modes, grid, named):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"scaling parameter {named} overflows") as refused:
                 separability_scan(two_mode_squeezed(1.0), modes, grid)
         # also an ArithmeticError, so the CLI names the options behind it as for numpy's overflows
         assert isinstance(refused.value, ArithmeticError) and isinstance(refused.value, ScaleOverflowError)
+
+    @pytest.mark.parametrize("grid", [[0.0, -1.0], [-1.0, np.nan], [-np.inf], [1e-160, 1.0]])
+    def test_modes_and_state_refused_before_any_lambda(self, grid):
+        # the scan names the first lambda it cannot scan only once the modes and the state pass
+        with pytest.raises(ValueError, match="^mode must be in 1..2, got 5$"):
+            separability_scan(vacuum(2), {5}, grid)
+        with pytest.raises(ValueError, match="not a valid state"):
+            separability_scan(CovarianceMatrix(2, 0.4 * np.eye(4)), {2}, grid)
+
+    def test_memory_is_the_outputs_not_the_scaled_points(self):
+        # two TMSV pairs, modes (1, 2) and (3, 4), in (q1..q4, p1..p4) order
+        sigma = np.zeros((8, 8))
+        for pair in ([0, 1, 4, 5], [2, 3, 6, 7]):
+            sigma[np.ix_(pair, pair)] = two_mode_squeezed(0.5).matrix
+        cov, grid = CovarianceMatrix(4, sigma), np.linspace(-1.0, 1.0, 10_000)
+        separability_scan(cov, {2, 4}, grid[:2])  # caches and imports out of the traced run
+        tracemalloc.start()
+        try:
+            report = separability_scan(cov, {2, 4}, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.violations) > 0
+        # the report's lam_grid, min_eigenvalues and a violations list as long as the grid, as Python
+        # floats and list slots, plus a fixed allowance; holding every scaled 8 x 8 point costs 7 MB more
+        outputs = 3 * len(grid) * (sys.getsizeof(0.0) + 8)
+        assert peak <= outputs + 512 * 1024
 
     def test_smallest_finite_scaling_scanned_without_warning(self):
         # 1/lambda^2 = 1e300 keeps every scaled entry of TMSV r = 1 finite

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -637,20 +638,26 @@ def test_cli_rows_follow_the_report(tmp_path_factory, case, grid, data):
 
 
 def one_loop_scan(cov, partition, grid, tol=moments.PSD_TOL):
-    """The scan as a single loop that scales and judges each lambda in turn.
+    """The scan as a single loop that refuses or judges each lambda in turn.
 
-    Returns (min_eigenvalues, violations, outside_criterion, verdict), or the first
-    lambda whose chain of partial_scale calls overflows.
+    Returns (min_eigenvalues, violations, outside_criterion, outcome): the outcome is the
+    verdict, or the error the scan raises at the first lambda that is zero, non-finite or
+    overflows its chain of partial_scale calls, with the lists of the lambdas before it.
     """
     lows, violations, outside = [], [], []
     for lam in grid:
+        if lam == 0.0:
+            return lows, violations, outside, ValueError(f"scaling parameters must be nonzero, got {lam}")
+        if not math.isfinite(lam):
+            return lows, violations, outside, ValueError(f"scaling parameters must be finite, got {lam}")
         scaled = cov
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for mode in sorted(partition):
                     scaled = gaussian_cv.partial_scale(scaled, mode, lam)
         except ValueError:  # the covariance refuses a non-finite entry
-            return lam
+            refusal = gaussian_cv.ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix")
+            return lows, violations, outside, refusal
         ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
         lows.append(low)
         if abs(lam) > 1.0:
@@ -660,30 +667,32 @@ def one_loop_scan(cov, partition, grid, tol=moments.PSD_TOL):
     return lows, violations, outside, "entanglement_detected" if violations else "no_violation"
 
 
-# lambda in [-2, 2] away from 0, or down to the smallest subnormal, where the scaled entries overflow
+# lambda in [-2, 2] away from 0, down to the smallest subnormal, where the scaled entries overflow,
+# and the zeros and non-finite values the scan refuses
 scan_lambdas = st.one_of(
     st.floats(-2.0, 2.0).filter(lambda lam: lam != 0.0),
     st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]), st.floats(5e-324, 1e-140)),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(gaussian_states(min_modes=1), st.lists(scan_lambdas, min_size=1, max_size=12))
-def test_scan_equals_the_one_loop_scan_or_refuses_before_any_eigen_solve(case, grid):
+def test_scan_equals_the_one_loop_scan_or_refuses_where_it_stops(case, grid):
     cov, partition = case
-    expected = one_loop_scan(cov, partition, grid)
+    lows, violations, outside, outcome = one_loop_scan(cov, partition, grid)
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        if isinstance(expected, float):
-            with pytest.raises(gaussian_cv.ScaleOverflowError) as refused:
+        if isinstance(outcome, ValueError):
+            with pytest.raises(ValueError) as refused:
                 gaussian_cv.separability_scan(cov, partition, grid)
-            assert str(refused.value) == f"scaling parameter {expected} overflows the scaled covariance matrix"
-            assert eigvalsh.call_count == 0
+            assert type(refused.value) is type(outcome) and str(refused.value) == str(outcome)
+            # one solve for the input state, then one for each lambda before the one the loop stopped at
+            assert eigvalsh.call_count == 1 + len(lows)
             return
         report = gaussian_cv.separability_scan(cov, partition, grid)
-    lows, violations, outside, verdict = expected
     assert report.lam_grid == grid
     assert np.array_equal(np.array(report.min_eigenvalues).view(np.int64), np.array(lows).view(np.int64))
-    assert (report.violations, report.outside_criterion, report.verdict) == (violations, outside, verdict)
+    assert (report.violations, report.outside_criterion, report.verdict) == (violations, outside, outcome)
 
 
 def broadcast_congruence(sigma, modes, idx, dq, dp):
