@@ -204,7 +204,7 @@ def _parse_lambda_grid(token: str) -> np.ndarray:
     for number in numbers:
         if not math.isfinite(number):
             raise ValueError(f"lambda grid values must be finite, got {number}")
-    # an empty grid and a zero are the scan's to refuse
+    # an empty grid is the scan's to refuse, and a zero partial_scale's
     return np.sort(np.linspace(numbers[0], numbers[1], count) if spaced else np.array(numbers))
 
 
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
         # numpy's message names the operation, not the input: name the options that set it
         print(f"error: {exc}{_options_set(args)}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

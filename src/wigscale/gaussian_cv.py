@@ -22,7 +22,6 @@ from ._validated import check_tolerance, frozen, store_validated, whole_number
 __all__ = [
     "CovarianceMatrix",
     "SeparabilityReport",
-    "ScaleOverflowError",
     "vacuum",
     "two_mode_squeezed",
     "squeeze_symplectic",
@@ -79,14 +78,6 @@ class SeparabilityReport:
         object.__setattr__(self, "outside_criterion", [lam for lam in self.lam_grid if abs(lam) > 1.0])
 
 
-class ScaleOverflowError(ValueError, ArithmeticError):
-    """A scaling parameter so close to 0 that the scaled covariance matrix overflows.
-
-    A ValueError, since the input is at fault, and an ArithmeticError, like
-    numpy's own overflow errors.
-    """
-
-
 def vacuum(modes: int) -> CovarianceMatrix:
     """N-mode vacuum: Sigma = I/2, saturating the uncertainty relation."""
     modes = whole_number(modes, "modes", 1)
@@ -120,11 +111,13 @@ def _check_mode(cov: CovarianceMatrix, mode: int) -> int:
     return int(mode) - 1
 
 
-def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float) -> CovarianceMatrix:
+def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float,
+                         name: str, value: float) -> CovarianceMatrix:
     """D Sigma D, with D the identity except dq and dp on the q and p of `mode` (1-based).
 
     The map W(x) -> |det A| W(A x) takes Sigma to A^-1 Sigma A^-T; for a diagonal A
-    acting on one mode that is this congruence with D = A^-1.
+    acting on one mode that is this congruence with D = A^-1. An overflow is refused
+    as a ValueError naming the map's parameter, `name` and its `value`.
     """
     idx = _check_mode(cov, mode)
     q, p = idx, cov.modes + idx
@@ -139,7 +132,10 @@ def _diagonal_congruence(cov: CovarianceMatrix, mode: int, dq: float, dp: float)
     # (S_ij d_i) d_j and (S_ji d_j) d_i round apart only where both factors differ from 1,
     # off the diagonal that is the mode's q-p pair alone: mirror it, so D S D is exactly symmetric
     scaled[p, q] = scaled[q, p]
-    return CovarianceMatrix(cov.modes, frozen(scaled))
+    try:
+        return CovarianceMatrix(cov.modes, frozen(scaled))
+    except ValueError:  # shape and symmetry hold, so only a non-finite entry is refused here
+        raise ValueError(f"{name} {value} overflows the covariance matrix") from None
 
 
 def squeeze_symplectic(cov: CovarianceMatrix, mode: int, kappa: float) -> CovarianceMatrix:
@@ -147,11 +143,15 @@ def squeeze_symplectic(cov: CovarianceMatrix, mode: int, kappa: float) -> Covari
 
     S scales q of `mode` (1-based) by 1/kappa and p by kappa, matching the
     second moments of W(kappa*q, p/kappa). Symplectic congruences preserve
-    state validity for every kappa > 0.
+    state validity for every finite kappa > 0.
+
+    Raises:
+        ValueError: for a mode outside 1..N or not whole, for a kappa that is not
+            finite and positive, or naming kappa if the squeezed matrix overflows.
     """
-    if not kappa > 0:
-        raise ValueError(f"squeeze parameter must be positive, got {kappa}")
-    return _diagonal_congruence(cov, mode, 1.0 / kappa, kappa)
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"squeeze parameter must be positive and finite, got {kappa}")
+    return _diagonal_congruence(cov, mode, 1.0 / kappa, kappa, "squeeze parameter", kappa)
 
 
 def partial_scale(cov: CovarianceMatrix, mode: int, lam: float) -> CovarianceMatrix:
@@ -160,10 +160,14 @@ def partial_scale(cov: CovarianceMatrix, mode: int, lam: float) -> CovarianceMat
     Every entry with exactly one p_mode factor picks up 1/lam and the
     (p_mode, p_mode) entry picks up 1/lam^2; nothing else changes. At
     lam = -1 this is exactly the partial transpose (one momentum mirrored).
+
+    Raises:
+        ValueError: for a mode outside 1..N or not whole, for a lam that is zero
+            or not finite, or naming lam if the scaled matrix overflows.
     """
-    if lam == 0:
-        raise ValueError("scaling parameter must be nonzero")
-    return _diagonal_congruence(cov, mode, 1.0, 1.0 / lam)
+    if not 0.0 < abs(lam) < math.inf:
+        raise ValueError(f"scaling parameter must be nonzero and finite, got {lam}")
+    return _diagonal_congruence(cov, mode, 1.0, 1.0 / lam, "scaling parameter", lam)
 
 
 def is_valid_state(cov: CovarianceMatrix) -> tuple[bool, float]:
@@ -201,11 +205,9 @@ def separability_scan(
     Raises:
         ValueError: in this order, for a tolerance that is not finite and
             nonnegative, an empty grid, mode indices outside 1..N or not
-            whole, or an invalid input state; then naming the first lambda
-            in grid order that is zero or non-finite.
-        ScaleOverflowError: naming the first lambda in grid order whose
-            scaled covariance overflows, if no zero or non-finite one
-            precedes it.
+            whole, or an invalid input state; then :func:`partial_scale`'s
+            refusal of the first lambda in grid order that is zero, not
+            finite or overflows the scaled covariance.
     """
     check_tolerance(tol)
     lam_values = [float(lam) for lam in lam_grid]
@@ -227,16 +229,9 @@ def separability_scan(
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
         for lam in lam_values:
-            if lam == 0.0:
-                raise ValueError(f"scaling parameters must be nonzero, got {lam}")
-            if not math.isfinite(lam):
-                raise ValueError(f"scaling parameters must be finite, got {lam}")
             scaled = cov
-            try:
-                for mode in modes:
-                    scaled = partial_scale(scaled, mode, lam)
-            except ValueError:  # lambda and the modes are checked: only a non-finite entry is refused here
-                raise ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix") from None
+            for mode in modes:
+                scaled = partial_scale(scaled, mode, lam)
             ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
             min_eigenvalues.append(low)
             if not ok and abs(lam) <= 1.0:
@@ -247,7 +242,7 @@ def separability_scan(
 def interleaved_to_block(matrix: np.ndarray) -> np.ndarray:
     """Reorder a (q1, p1, q2, p2, ...) matrix into (q1..qN, p1..pN) blocks."""
     matrix = np.asarray(matrix)
-    size = matrix.shape[0]
+    size = matrix.shape[0] if matrix.ndim else 1  # a scalar is refused as shape ()
     if matrix.shape != (size, size) or size % 2:
         raise ValueError(f"expected an even-sized square matrix, got {matrix.shape}")
     idx = np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])

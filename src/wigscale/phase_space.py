@@ -192,10 +192,12 @@ def default_grid(states: AnalyticWigner | Iterable[AnalyticWigner], points_per_a
     count above it that resolve. The extent is checked first, so no refusal allocates.
 
     Raises:
-        ValueError: if a given extent or point count cannot resolve every state, or more than
-            MAX_POINTS points per axis are needed; :func:`sample_to_grid` checks its grid here.
+        ValueError: for no state, if a given extent or point count cannot resolve every state, or
+            more than MAX_POINTS points per axis are needed; :func:`sample_to_grid` checks its grid here.
     """
     states = [states] if isinstance(states, AnalyticWigner) else list(states)
+    if not states:
+        raise ValueError("a grid needs at least one state to resolve")
     least, largest = max(_resolution(s)[0] for s in states), min(_resolution(s)[1] for s in states)
     names = " and ".join(f"fock{s.fock_index} at scale {s.scale:g}, squeeze {s.squeeze:g}" for s in states)
     if extent is None:

@@ -312,7 +312,7 @@ class TestSeparability:
         assert "0" in err
 
     @pytest.mark.parametrize("grid,message", [("1:2:0", "lambda grid must not be empty"),
-                                              ("-1:1:41", "scaling parameters must be nonzero, got 0.0")])
+                                              ("-1:1:41", "scaling parameter must be nonzero and finite, got 0.0")])
     def test_grid_refused_by_the_scan(self, capsys, tmp_path, grid, message):
         path = tmp_path / "vac.json"
         run(capsys, "tmsv", "--r", "0.0", "--out", str(path))
@@ -499,6 +499,64 @@ lambda_grid_tokens = st.one_of(
 )
 
 
+def option_values(valid, *malformed):
+    """A value drawn from `valid` seven times in eight, else one of the malformed tokens."""
+    return st.integers(0, 7).flatmap(lambda pick: st.sampled_from(malformed) if pick == 7 else valid)
+
+
+# every option of every subcommand, valid or malformed, bounded so that a run that is not refused
+# samples at most 512 points per axis, 5 fidelity steps, Fock states up to 12 and projections up to 40;
+# "{root}" is the directory of the covariance files and outputs
+positive = option_values(st.floats(0.2, 3.0).map(repr), "0", "-1", "1e-300", "1e300", "nan", "inf", "x", "")
+state_options = {
+    "--state": option_values(st.integers(0, 12).map("fock{}".format), "fock", "fock-1", "fock1.5", "FOCK1", "cat", ""),
+    "--lambda": option_values((st.floats(0.3, 3.0) | st.floats(-3.0, -0.3)).map(repr),
+                              "0", "-0", "1e-300", "1e300", "nan", "-inf", "1e999", "x", ""),
+    "--kappa": positive,
+}
+grid_options = {
+    "--grid": option_values(st.sampled_from(["128", "256", "512"]) | st.integers(8, 256).map(lambda half: str(2 * half)),
+                            "0", "-4", "33", "2.5", "x", ""),
+    "--extent": option_values(st.floats(0.5, 60.0).map(repr), "0", "-8", "1e300", "nan", "x"),
+    "--format": option_values(st.sampled_from(["csv", "json"]), "xml", ""),
+}
+fuzz_commands = {
+    "fidelity": {"--lambda-min": positive, "--lambda-max": positive,
+                 "--steps": option_values(st.integers(-1, 5).map(str), "2.5", "x", ""), **grid_options},
+    "uncertainty": {**state_options, **grid_options},
+    "spectrum": {**state_options, "--dim": option_values(st.integers(-1, 40).map(str), "2.5", "x", ""), **grid_options},
+    "roundtrip": {**state_options, **grid_options},
+    "separability": {
+        "--cov": st.sampled_from(["tmsv.json", "interleaved.json", "not_a_state.json", "garbage.json", "missing.json",
+                                  ""]).map("{{root}}/{}".format),
+        "--modes": option_values(st.sampled_from(["1", "2", "1,2", "2,1"]), "0", "3", "1.5", "a", ",", ""),
+        "--lambda-grid": option_values(st.sampled_from(["default", "-1:1:40", "0.5,1,2", "-2:-0.1:7"]),
+                                       "-1:1:41", "1:2:0", "1e-300,1", "nan,1", "a:b:3", "1,,2", "-1:1:20000", ""),
+        "--tol": option_values(st.floats(0.0, 1e-6).map(repr), "-1", "nan", "x"),
+        "--format": grid_options["--format"],
+    },
+    "tmsv": {"--r": option_values(st.floats(-3.0, 3.0).map(repr), "400", "nan", "x", "")},
+}
+#: options a run needs; --grid is given to every command that has it, so no default grid passes 512 points
+fuzz_required = {"--lambda-min", "--lambda-max", "--steps", "--state", "--cov", "--modes", "--r", "--grid"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and its drawn options, each kept or dropped, then maybe a stray token and an --out."""
+    command = draw(st.sampled_from(sorted(fuzz_commands)))
+    argv = [command]
+    for option, values in fuzz_commands[command].items():
+        # a required option is dropped one time in eight, another one time in two
+        if draw(st.integers(0, 7)) < 7 if option in fuzz_required else draw(st.booleans()):
+            value = draw(values)
+            argv += draw(st.sampled_from([[f"{option}={value}"], [option, value]]))
+    argv += draw(option_values(st.just([]), ["--bogus"], ["stray"]))
+    argv += draw(option_values(st.sampled_from([[], ["--out", "{root}/out.txt"]]),
+                               ["--out", "{root}"], ["--out", "{root}/no_such_dir/out.txt"]))
+    return argv
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "payload",
@@ -549,6 +607,38 @@ class TestInputBoundary:
         else:
             assert code == 2 and out.getvalue() == ""
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=cli_argvs())
+    def test_any_argv_exits_0_or_2_with_one_error_line(self, tmp_path_factory, drawn):
+        root = tmp_path_factory.getbasetemp() / "cli_fuzz"
+        if not root.exists():
+            root.mkdir()
+            matrix = gaussian_cv.two_mode_squeezed(0.5).matrix
+            order = [0, 2, 1, 3]  # block (q1, q2, p1, p2) back to interleaved (q1, p1, q2, p2)
+            for name, ordering, rows in (("tmsv.json", "q-block-p-block", matrix),
+                                         ("interleaved.json", "interleaved", matrix[np.ix_(order, order)]),
+                                         ("not_a_state.json", "q-block-p-block", 0.4 * np.eye(4))):
+                (root / name).write_text(json.dumps({"modes": 2, "ordering": ordering, "matrix": rows.tolist()}))
+            (root / "garbage.json").write_text("not json {")
+        argv = [token.format(root=root) for token in drawn]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning fails the run, as does any exception but argparse's exit
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            return
+        assert code == 2 and out == "", argv
+        if err.startswith("usage: wigscale"):  # argparse's usage, then its one error line
+            assert err.splitlines()[-1].startswith("wigscale") and ": error: " in err.splitlines()[-1], argv
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
 
     def test_oversized_fock_index_refused_before_sampling(self, capsys):
         start = time.perf_counter()
@@ -667,8 +757,9 @@ class TestExtremeInputs:
             (["uncertainty", "--state", "fock1", "--kappa", "1e-300", "--grid", "16"], "--kappa 1e-300"),
             (["uncertainty", "--state", "fock1", "--extent", "1e300", "--grid", "16"], "--extent 1e+300"),
             (["uncertainty", "--state", "fock1", "--lambda", "1e-200", "--grid", "16"], "--lambda 1e-200"),
+            # partial_scale names the lambda itself, the one input behind it
             (["separability", "--cov", "{cov}", "--modes", "2", "--lambda-grid", "1e-300,1"],
-             "--lambda-grid 1e-300,1"),
+             "scaling parameter 1e-300 overflows the covariance matrix\n"),
         ],
         ids=[f"argv{i}" for i in range(5)],
     )

@@ -431,6 +431,11 @@ class TestSampling:
         assert str(raised.value) == error
         assert peak < 2**20
 
+    @pytest.mark.parametrize("states", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_default_grid_of_no_state_refused(self, states):
+        with pytest.raises(ValueError, match="^a grid needs at least one state to resolve$"):
+            phase_space.default_grid(states)
+
 
 class TestScaling:
     def test_identity(self):

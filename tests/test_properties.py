@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -641,23 +642,20 @@ def one_loop_scan(cov, partition, grid, tol=moments.PSD_TOL):
     """The scan as a single loop that refuses or judges each lambda in turn.
 
     Returns (min_eigenvalues, violations, outside_criterion, outcome): the outcome is the
-    verdict, or the error the scan raises at the first lambda that is zero, non-finite or
+    verdict, or the error partial_scale raises at the first lambda that is zero, non-finite or
     overflows its chain of partial_scale calls, with the lists of the lambdas before it.
     """
     lows, violations, outside = [], [], []
     for lam in grid:
-        if lam == 0.0:
-            return lows, violations, outside, ValueError(f"scaling parameters must be nonzero, got {lam}")
-        if not math.isfinite(lam):
-            return lows, violations, outside, ValueError(f"scaling parameters must be finite, got {lam}")
+        if lam == 0.0 or not math.isfinite(lam):
+            return lows, violations, outside, ValueError(f"scaling parameter must be nonzero and finite, got {lam}")
         scaled = cov
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for mode in sorted(partition):
                     scaled = gaussian_cv.partial_scale(scaled, mode, lam)
-        except ValueError:  # the covariance refuses a non-finite entry
-            refusal = gaussian_cv.ScaleOverflowError(f"scaling parameter {lam} overflows the scaled covariance matrix")
-            return lows, violations, outside, refusal
+        except ValueError:  # lambda is finite and nonzero: only an overflowing entry is refused
+            return lows, violations, outside, ValueError(f"scaling parameter {lam} overflows the covariance matrix")
         ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
         lows.append(low)
         if abs(lam) > 1.0:
@@ -723,7 +721,7 @@ congruence_factors = st.one_of(
 )
 def test_in_place_congruence_is_the_broadcast_product(modes, data, dq, dp):
     # rows then columns in place, skipping a factor of 1, must round every entry as the broadcast
-    # product does; an entry that overflows must be refused as before
+    # product does; an entry that overflows must be refused, naming the parameter it is given
     size = 2 * modes
     upper = data.draw(arrays(float, (size, size), elements=st.floats(-1e3, 1e3) | st.floats(-1e300, 1e300)))
     sigma = np.triu(upper) + np.triu(upper, 1).T
@@ -732,10 +730,10 @@ def test_in_place_congruence_is_the_broadcast_product(modes, data, dq, dp):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = broadcast_congruence(cov.matrix, modes, mode - 1, dq, dp)
         if not np.isfinite(expected).all():
-            with pytest.raises(ValueError, match="^covariance matrix contains non-finite values$"):
-                gaussian_cv._diagonal_congruence(cov, mode, dq, dp)
+            with pytest.raises(ValueError, match=f"^factor {re.escape(str(dp))} overflows the covariance matrix$"):
+                gaussian_cv._diagonal_congruence(cov, mode, dq, dp, "factor", dp)
             return
-        scaled = gaussian_cv._diagonal_congruence(cov, mode, dq, dp)
+        scaled = gaussian_cv._diagonal_congruence(cov, mode, dq, dp, "factor", dp)
     assert np.array_equal(scaled.matrix.view(np.int64), expected.view(np.int64))
     assert not scaled.matrix.flags.writeable
     assert np.array_equal(cov.matrix, sigma)  # the input is not written
@@ -745,7 +743,7 @@ def test_congruence_mirrors_the_rounding_of_the_q_p_entry():
     # (1.73 * 0.16) * 1.49 and (1.73 * 1.49) * 0.16 differ in the last bit, and their mean
     # rounds to the second: both entries must hold the first, the one of the broadcast product
     cov = gaussian_cv.CovarianceMatrix(1, np.array([[1.0, 1.73], [1.73, 1.0]]))
-    scaled = gaussian_cv._diagonal_congruence(cov, 1, 0.16, 1.49)
+    scaled = gaussian_cv._diagonal_congruence(cov, 1, 0.16, 1.49, "factor", 1.49)
     assert (1.73 * 0.16) * 1.49 != (1.73 * 1.49) * 0.16
     assert scaled.matrix[0, 1].hex() == scaled.matrix[1, 0].hex() == ((1.73 * 0.16) * 1.49).hex()
 
