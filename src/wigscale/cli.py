@@ -110,11 +110,11 @@ def _state_pipeline(args, make_grid=_make_grid):
     return grid, {"state": args.state, "lambda": args.lam, "kappa": args.kappa}
 
 
-def _sr_report(m: moments.SecondMoments):
-    cov = gaussian_cv.CovarianceMatrix(1, [[m.sigma_qq, m.sigma_qp], [m.sigma_qp, m.sigma_pp]])
-    matrix = moments.multimode_uncertainty_matrix(cov)
-    verdict = "satisfied" if moments.is_psd(matrix)[0] else "violated"
-    return moments.sr_value(m), np.linalg.eigvalsh(matrix.entries), verdict
+def _sr_report(grid: phase_space.GridWigner):
+    m = moments.moments_from_grid(grid)
+    ok, eigenvalues = gaussian_cv.is_valid_state(
+        gaussian_cv.CovarianceMatrix(1, [[m.sigma_qq, m.sigma_qp], [m.sigma_qp, m.sigma_pp]]))
+    return m, eigenvalues, "satisfied" if ok else "violated"
 
 
 def _closed_form_fidelity(lam: float) -> float:
@@ -152,8 +152,7 @@ def _run_fidelity(args) -> str:
 
 def _run_uncertainty(args) -> str:
     grid, meta = _state_pipeline(args)
-    m = moments.moments_from_grid(grid)
-    value, eigenvalues, verdict = _sr_report(m)
+    m, eigenvalues, verdict = _sr_report(grid)
     columns = [
         "sigma_qq",
         "sigma_pp",
@@ -163,14 +162,13 @@ def _run_uncertainty(args) -> str:
         "matrix_eigenvalue_max",
         "sr_verdict",
     ]
-    rows = [[m.sigma_qq, m.sigma_pp, m.sigma_qp, value, eigenvalues[0], eigenvalues[-1], verdict]]
+    rows = [[m.sigma_qq, m.sigma_pp, m.sigma_qp, moments.sr_value(m), eigenvalues[0], eigenvalues[-1], verdict]]
     return _render(columns, rows, meta, args.format)
 
 
 def _run_spectrum(args) -> str:
     grid, meta = _state_pipeline(args)
-    m = moments.moments_from_grid(grid)
-    value, _, verdict = _sr_report(m)
+    m, _, verdict = _sr_report(grid)
     density = phase_space.wigner_to_density(grid)
     projected = fock_space.project_state(density, args.dim)
     spec = fock_space.spectrum(projected)
@@ -179,7 +177,7 @@ def _run_spectrum(args) -> str:
         "trace": spec.trace,
         "truncation_deficit": spec.truncation_deficit,
         "min_eigenvalue": spec.min_eigenvalue,
-        "sr_value": value,
+        "sr_value": moments.sr_value(m),
         "sr_verdict": verdict,
     }
     rows = [[k, v] for k, v in enumerate(spec.eigenvalues)]

@@ -38,8 +38,8 @@ class CovarianceMatrix:
     """Real symmetric second-moment matrix of an N-mode state.
 
     Symmetry is enforced at construction; whether the matrix describes a
-    bona fide quantum state (Sigma + iJ/2 >= 0) is checked on demand by
-    :func:`is_valid_state`.
+    bona fide quantum state (Sigma + iJ/2 >= 0) is decided on demand by
+    :func:`is_valid_state`, the one rule for that question.
     """
 
     modes: int
@@ -56,7 +56,7 @@ class SeparabilityReport:
     """Outcome of a partial-scaling scan over a lambda grid.
 
     `violations` lists the lambda values inside the guaranteed region
-    |lambda| <= 1 whose scaled uncertainty matrix fails is_psd; only those
+    |lambda| <= 1 whose scaled moments fail is_valid_state; only those
     drive the verdict. Grid points with |lambda| > 1 are permitted but the
     criterion proves nothing there (even the vacuum goes negative), so they
     are reported separately in `outside_criterion`. Both `verdict` and
@@ -170,9 +170,9 @@ def partial_scale(cov: CovarianceMatrix, mode: int, lam: float) -> CovarianceMat
     return _diagonal_congruence(cov, mode, 1.0, 1.0 / lam, "scaling parameter", lam)
 
 
-def is_valid_state(cov: CovarianceMatrix) -> tuple[bool, float]:
-    """Whether Sigma + iJ/2 >= 0, plus its minimum eigenvalue."""
-    return moments.is_psd(moments.multimode_uncertainty_matrix(cov))
+def is_valid_state(cov: CovarianceMatrix, tol: float = moments.PSD_TOL) -> tuple[bool, np.ndarray]:
+    """Whether these are a state's moments, Sigma + iJ/2 >= 0, with is_psd's ascending eigenvalues of it."""
+    return moments.is_psd(moments.multimode_uncertainty_matrix(cov), tol)
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -190,38 +190,54 @@ def separability_scan(
     """Scan the partial-scaling separability criterion over a lambda grid.
 
     For each lambda in grid order, applies :func:`partial_scale` with that
-    lambda to every mode in `mode_partition` and records the minimum
-    eigenvalue of the scaled uncertainty matrix. Separable states keep it
-    nonnegative for all 0 < |lambda| <= 1, so any violation there certifies
-    entanglement; no violation is inconclusive.
+    lambda to every mode in `mode_partition`, judges the scaled moments by
+    :func:`is_valid_state` and records their minimum eigenvalue. Separable
+    states keep it nonnegative for all 0 < |lambda| <= 1, so any violation
+    there certifies entanglement; no violation is inconclusive.
 
     Args:
         cov: covariance of a valid state (invalid input is an error, not
             "entangled").
         mode_partition: nonempty set of 1-based mode indices to scale.
-        lam_grid: iterable of finite, nonzero scaling parameters.
-        tol: relative tolerance of the :func:`moments.is_psd` test at each point.
+        lam_grid: iterable of finite, nonzero real scaling parameters.
+        tol: relative tolerance at each point; the input is judged with PSD_TOL.
 
     Raises:
         ValueError: in this order, for a tolerance that is not finite and
-            nonnegative, an empty grid, mode indices outside 1..N or not
-            whole, or an invalid input state; then :func:`partial_scale`'s
-            refusal of the first lambda in grid order that is zero, not
-            finite or overflows the scaled covariance.
+            nonnegative, a grid or a mode partition that is empty or not of
+            real numbers, mode indices outside 1..N or not whole, or an invalid
+            input state; then :func:`partial_scale`'s refusal of the first
+            lambda in grid order that is zero, not finite or overflows.
     """
     check_tolerance(tol)
-    lam_values = [float(lam) for lam in lam_grid]
+    not_real = "lambda grid must be an iterable of real numbers, got {!r}"
+    try:
+        lam_items = iter(lam_grid)
+    except TypeError:
+        raise ValueError(not_real.format(lam_grid)) from None
+    lam_values = []
+    for lam in lam_items:  # an error the iterable raises itself passes through as it is
+        try:
+            # float() reads a size-1 array as its item on some numpy versions, numpy complex as its real part
+            if getattr(lam, "ndim", 0) or isinstance(lam, np.complexfloating):
+                raise TypeError
+            lam_values.append(float(lam))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(not_real.format(lam)) from None
     if not lam_values:
         raise ValueError("lambda grid must not be empty")
-    modes = sorted(set(mode_partition))
+    try:  # not iterable, or items that are not numbers: unhashable, unordered or not comparable with 1
+        modes = sorted(set(mode_partition))
+        for mode in modes:
+            _check_mode(cov, mode)
+    except TypeError:
+        raise ValueError(f"mode partition must be a set of mode indices, got {mode_partition!r}") from None
     if not modes:
         raise ValueError("mode partition must not be empty")
-    for mode in modes:
-        _check_mode(cov, mode)
-    ok, min_eig = is_valid_state(cov)
+    ok, eigenvalues = is_valid_state(cov)
     if not ok:
         raise ValueError(
-            f"input covariance is not a valid state (min eigenvalue {min_eig:.3e}); "
+            f"input covariance is not a valid state (min eigenvalue {eigenvalues[0]:.3e}); "
             "the criterion only applies to states"
         )
 
@@ -232,8 +248,8 @@ def separability_scan(
             scaled = cov
             for mode in modes:
                 scaled = partial_scale(scaled, mode, lam)
-            ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
-            min_eigenvalues.append(low)
+            ok, eigenvalues = is_valid_state(scaled, tol)
+            min_eigenvalues.append(float(eigenvalues[0]))
             if not ok and abs(lam) <= 1.0:
                 violations.append(lam)
     return SeparabilityReport(lam_values, min_eigenvalues, violations, tol)

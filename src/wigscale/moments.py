@@ -100,7 +100,8 @@ def sr_value(m: SecondMoments) -> float:
 
 
 def symplectic_form(modes: int) -> np.ndarray:
-    """Matrix J with [Q_a, Q_b] = i J_ab in (q_1..q_N, p_1..p_N) ordering."""
+    """Matrix J with [Q_a, Q_b] = i J_ab in (q_1..q_N, p_1..p_N) ordering, for N = modes >= 1."""
+    modes = whole_number(modes, "modes", 1)
     eye = np.eye(modes)
     form = np.zeros((2 * modes, 2 * modes))
     form[:modes, modes:] = eye
@@ -135,16 +136,16 @@ def det_bound(cov: CovarianceMatrix) -> tuple[float, float]:
     return float(np.linalg.det(cov.matrix)), 0.25**cov.modes
 
 
-def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """Decide positive semidefiniteness by symmetric eigendecomposition.
+def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, np.ndarray]:
+    """Decide positive semidefiniteness by one symmetric eigendecomposition.
 
     Args:
         h: matrix under test.
         tol: finite, nonnegative relative tolerance; the verdict is
-            min_eig >= -tol * max(1, sup norm).
+            eigenvalues[0] >= -tol * max(1, sup norm).
 
     Returns:
-        (verdict, minimum eigenvalue).
+        (verdict, eigenvalues), ascending as np.linalg.eigvalsh returns them.
 
     Raises:
         ValueError: for a tolerance that is NaN, infinite or negative.
@@ -152,5 +153,4 @@ def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     check_tolerance(tol)
     eigenvalues = np.linalg.eigvalsh(h.entries)
     scale = max(1.0, float(np.abs(h.entries).max()))
-    min_eig = float(eigenvalues[0])
-    return min_eig >= -tol * scale, min_eig
+    return float(eigenvalues[0]) >= -tol * scale, eigenvalues

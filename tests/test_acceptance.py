@@ -75,12 +75,12 @@ def test_criterion_3_pseudodensity_headline():
     spectrum = fock_space.spectrum(projected)
     m = moments.moments_from_grid(fock_grid(1, lam=0.5))
     sr = one_mode_uncertainty_matrix(m)
-    sr_positive, sr_min = moments.is_psd(sr)
+    sr_positive, sr_eigenvalues = moments.is_psd(sr)
     checks = {
         "trace in [0.999, 1.001]": 0.999 <= spectrum.trace <= 1.001,
         "<0|rho|0> = -0.24 +/- 1e-3": abs(projected.entries[0, 0].real + 0.24) <= 1e-3,
         "min eigenvalue <= -0.24 + 1e-3": spectrum.min_eigenvalue <= -0.24 + 1e-3,
-        "uncertainty matrix positive definite": sr_positive and sr_min > 0.0,
+        "uncertainty matrix positive definite": sr_positive and sr_eigenvalues[0] > 0.0,
         "sr_value = 36 +/- 1e-3": abs(moments.sr_value(m) - 36.0) <= 1e-3,
     }
     failures = [name for name, passed in checks.items() if not passed]

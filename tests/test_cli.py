@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -734,10 +735,20 @@ class TestInputBoundary:
 
 class TestPositivityRule:
     def test_sr_verdict_is_psd_of_the_uncertainty_matrix(self):
-        # sr_value = 1 >= 1/4, but the matrix is negative definite
-        value, eigenvalues, verdict = cli._sr_report(moments.SecondMoments(0.0, 0.0, -1.0, -1.0, 0.0))
-        assert value == 1.0 and eigenvalues[-1] < 0
-        assert verdict == "violated"
+        # Sigma = -I: sr_value = 1 >= 1/4, but Sigma + iJ/2 is negative definite, so is_valid_state refuses it
+        assert moments.sr_value(moments.SecondMoments(0.0, 0.0, -1.0, -1.0, 0.0)) == 1.0
+        ok, eigenvalues = gaussian_cv.is_valid_state(gaussian_cv.CovarianceMatrix(1, -np.eye(2)))
+        assert not ok and eigenvalues[-1] < 0
+
+    @pytest.mark.parametrize("command", ["uncertainty", "spectrum"])
+    def test_verdict_and_eigenvalues_come_from_one_solve(self, capsys, command):
+        with mock.patch.object(moments, "is_psd", wraps=moments.is_psd) as is_psd, \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            code, out, _ = run(capsys, command, "--state", "fock1", "--lambda", "2")
+        assert code == 0 and "violated" in out
+        assert is_psd.call_count == 1
+        # spectrum's Fock-basis eigenvalues are the other solve, of a dim x dim matrix
+        assert [call.args[0].shape for call in eigvalsh.call_args_list].count((2, 2)) == 1
 
     def test_tol_defaults_to_psd_tol_and_must_be_nonnegative(self, capsys, tmp_path):
         path = tmp_path / "vac.json"

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 import warnings
@@ -33,9 +34,9 @@ class TestConstructors:
         assert np.linalg.det(vacuum(2).matrix) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_vacuum_validity_saturated(self):
-        ok, min_eig = is_valid_state(vacuum(2))
+        ok, eigenvalues = is_valid_state(vacuum(2))
         assert ok
-        assert min_eig == pytest.approx(0.0, abs=1e-12)
+        assert eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_tmsv_zero_squeezing_is_vacuum(self):
         np.testing.assert_array_equal(two_mode_squeezed(0.0).matrix, vacuum(2).matrix)
@@ -50,8 +51,8 @@ class TestConstructors:
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_tmsv_validity_and_det(self, r):
         cov = two_mode_squeezed(r)
-        ok, min_eig = is_valid_state(cov)
-        assert ok and min_eig >= -1e-10
+        ok, eigenvalues = is_valid_state(cov)
+        assert ok and eigenvalues[0] >= -1e-10
         assert np.linalg.det(cov.matrix) == pytest.approx(1.0 / 16.0, abs=1e-9)
 
     @pytest.mark.parametrize("modes", [2.0, np.float64(2), np.int64(2)])
@@ -221,9 +222,9 @@ class TestPartialScale:
 
 class TestValidity:
     def test_below_vacuum_rejected(self):
-        ok, min_eig = is_valid_state(CovarianceMatrix(2, 0.4 * np.eye(4)))
+        ok, eigenvalues = is_valid_state(CovarianceMatrix(2, 0.4 * np.eye(4)))
         assert not ok
-        assert min_eig == pytest.approx(-0.1, abs=1e-12)
+        assert eigenvalues[0] == pytest.approx(-0.1, abs=1e-12)
 
 
 class TestSeparabilityScan:
@@ -280,6 +281,34 @@ class TestSeparabilityScan:
                 separability_scan(two_mode_squeezed(1.0), modes, grid)
         # partial_scale's plain ValueError: lambda is named, so the CLI needs no option suffix
         assert not isinstance(refused.value, ArithmeticError)
+
+    @pytest.mark.parametrize("grid,named", [(0.5, "0.5"), (np.array([[0.5], [1.0]]), "array([0.5])"),
+                                            ([1j], "1j"), (np.array([-1.0, 0.5j]), "np.complex128(-1+0j)"),
+                                            (["a"], "'a'"), ([-1.0, None], "None"), ([10**400], "1" + "0" * 400)])
+    def test_malformed_grid_named_before_the_modes(self, grid, named):
+        # float() would read a numpy complex value as its real part: it is refused even with no imaginary part
+        message = f"^lambda grid must be an iterable of real numbers, got {re.escape(named)}$"
+        with pytest.raises(ValueError, match=message):
+            separability_scan(vacuum(2), {5}, grid)
+
+    def test_error_raised_by_the_grid_itself_is_not_relabelled(self):
+        def grid():
+            yield 0.5
+            raise TypeError("the grid's own failure")
+
+        with pytest.raises(TypeError, match="^the grid's own failure$"):
+            separability_scan(vacuum(2), {2}, grid())
+
+    @pytest.mark.parametrize("partition", [2, ["2"], {1, "2"}, [[1]], None])
+    def test_malformed_mode_partition_named_before_the_state(self, partition):
+        message = f"^mode partition must be a set of mode indices, got {re.escape(repr(partition))}$"
+        with pytest.raises(ValueError, match=message):
+            separability_scan(CovarianceMatrix(2, 0.4 * np.eye(4)), partition, [-1.0])
+
+    def test_generators_scan_as_their_lists(self):
+        cov, grid = two_mode_squeezed(1.0), default_lambda_grid()
+        report = separability_scan(cov, (mode for mode in (2,)), (lam for lam in grid))
+        assert report == separability_scan(cov, {2}, list(grid))
 
     @pytest.mark.parametrize("grid", [[0.0, -1.0], [-1.0, np.nan], [-np.inf], [1e-160, 1.0]])
     def test_modes_and_state_refused_before_any_lambda(self, grid):

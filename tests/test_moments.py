@@ -168,14 +168,14 @@ class TestSrMatrix:
         h = one_mode_uncertainty_matrix(moments_from_grid(fock_grid(1, lam=0.5)))
         expected = np.array([[6.0, 0.5j], [-0.5j, 6.0]])
         np.testing.assert_allclose(h.entries, expected, atol=1e-5)
-        ok, min_eig = is_psd(h)
-        assert ok and min_eig > 0.0
+        ok, eigenvalues = is_psd(h)
+        assert ok and eigenvalues[0] > 0.0
 
     def test_below_vacuum_variances_violate(self):
         h = one_mode_uncertainty_matrix(SecondMoments(0.0, 0.0, 0.4, 0.4, 0.0))
-        ok, min_eig = is_psd(h)
+        ok, eigenvalues = is_psd(h)
         assert not ok
-        assert min_eig == pytest.approx(-0.1, abs=1e-12)
+        assert eigenvalues[0] == pytest.approx(-0.1, abs=1e-12)
 
 
 class TestSrValue:
@@ -208,13 +208,24 @@ class TestMultimode:
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_two_mode_squeezed_is_valid(self, r):
         h = multimode_uncertainty_matrix(gaussian_cv.two_mode_squeezed(r))
-        _, min_eig = is_psd(h)
-        assert min_eig >= -1e-10
+        _, eigenvalues = is_psd(h)
+        assert eigenvalues[0] >= -1e-10
 
     def test_below_vacuum_single_mode(self):
         cov = gaussian_cv.CovarianceMatrix(1, 0.4 * np.eye(2))
-        _, min_eig = is_psd(multimode_uncertainty_matrix(cov))
-        assert min_eig == pytest.approx(-0.1, abs=1e-12)
+        _, eigenvalues = is_psd(multimode_uncertainty_matrix(cov))
+        assert eigenvalues[0] == pytest.approx(-0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("modes,message", [(0, "modes must be positive, got 0"),
+                                               (-1, "modes must be positive, got -1"),
+                                               (1.5, "modes must be an integer, got 1.5")])
+    def test_symplectic_form_refuses_what_vacuum_refuses(self, modes, message):
+        for build in (symplectic_form, gaussian_cv.vacuum):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(modes)
+
+    def test_symplectic_form_of_an_integral_float_is_its_integer(self):
+        np.testing.assert_array_equal(symplectic_form(2.0), symplectic_form(2))
 
     def test_symplectic_form_convention(self):
         j = symplectic_form(2)
@@ -243,26 +254,26 @@ class TestDetBound:
 
 class TestIsPsd:
     def test_identity(self):
-        ok, min_eig = is_psd(hermitian_from(np.eye(3)))
-        assert ok and min_eig == pytest.approx(1.0)
+        ok, eigenvalues = is_psd(hermitian_from(np.eye(3)))
+        assert ok and eigenvalues[0] == pytest.approx(1.0)
 
     def test_indefinite_two_by_two(self):
-        ok, min_eig = is_psd(hermitian_from([[1.0, 0.5j], [-0.5j, 0.0]]))
+        ok, eigenvalues = is_psd(hermitian_from([[1.0, 0.5j], [-0.5j, 0.0]]))
         assert not ok
-        assert min_eig == pytest.approx((1.0 - np.sqrt(2.0)) / 2.0, abs=1e-12)
+        assert eigenvalues[0] == pytest.approx((1.0 - np.sqrt(2.0)) / 2.0, abs=1e-12)
 
     def test_saturated_boundary_accepted(self):
-        ok, min_eig = is_psd(one_mode_uncertainty_matrix(moments_from_grid(fock_grid(0))))
+        ok, eigenvalues = is_psd(one_mode_uncertainty_matrix(moments_from_grid(fock_grid(0))))
         assert ok
-        assert min_eig == pytest.approx(0.0, abs=1e-6)
+        assert eigenvalues[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_random_positive_definite_accepted(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             dim = rng.integers(2, 7)
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            ok, min_eig = is_psd(hermitian_from(raw @ raw.conj().T + 0.1 * np.eye(dim)))
-            assert ok and min_eig > 0
+            ok, eigenvalues = is_psd(hermitian_from(raw @ raw.conj().T + 0.1 * np.eye(dim)))
+            assert ok and eigenvalues[0] > 0
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -299,8 +310,8 @@ class TestInvariants:
         # uncertainty matrix positive definite, yet the operator has a
         # negative eigenvalue: the relation does not determine the state
         grid = fock_grid(1, lam=lam)
-        ok, min_eig = is_psd(one_mode_uncertainty_matrix(moments_from_grid(grid)))
-        assert ok and min_eig > 0.0
+        ok, eigenvalues = is_psd(one_mode_uncertainty_matrix(moments_from_grid(grid)))
+        assert ok and eigenvalues[0] > 0.0
         spec = fock_space.spectrum(fock_projection(1, lam=lam, dim=32))
         assert spec.min_eigenvalue < -1e-8
 

@@ -499,8 +499,8 @@ class TestToleranceRegressions:
             cov = gaussian_cv.CovarianceMatrix(2, sigma)
         except ValueError:
             return
-        ok, low = gaussian_cv.is_valid_state(cov)
-        assert isinstance(ok, bool) and np.isfinite(low)
+        ok, eigenvalues = gaussian_cv.is_valid_state(cov)
+        assert isinstance(ok, bool) and np.isfinite(eigenvalues).all()
 
     def test_nan_operator_rejected_not_certified(self):
         rho = moments.HermitianMatrix(8, np.diag([1.0] + [0.0] * 7))
@@ -580,6 +580,33 @@ def gaussian_states(draw, min_modes=2, max_modes=4):
     return gaussian_cv.CovarianceMatrix(modes, 0.5 * (sigma + sigma.T)), partition
 
 
+@st.composite
+def covariances(draw):
+    """A 1- or 2-mode covariance: a valid state times a factor in [0.3, 1.5], or any symmetric matrix.
+
+    A factor below 1 can push a state below the vacuum floor, and a symmetric matrix is often indefinite,
+    so valid and invalid inputs, and ones inside the tolerance band, are both drawn.
+    """
+    if draw(st.booleans()):
+        state, _ = draw(gaussian_states(min_modes=1, max_modes=2))
+        return gaussian_cv.CovarianceMatrix(state.modes, draw(st.floats(0.3, 1.5)) * state.matrix)
+    modes = draw(st.integers(1, 2))
+    x = draw(arrays(float, (2 * modes, 2 * modes), elements=st.floats(-2.0, 2.0)))
+    return gaussian_cv.CovarianceMatrix(modes, x + x.T)
+
+
+@SETTINGS
+@given(covariances(), st.one_of(st.just(moments.PSD_TOL), st.floats(0.0, 1e-2)))
+def test_is_valid_state_is_is_psd_of_the_uncertainty_matrix_from_one_solve(cov, tol):
+    ok, eigenvalues = gaussian_cv.is_valid_state(cov, tol)
+    assert ok == moments.is_psd(moments.multimode_uncertainty_matrix(cov), tol)[0]
+    # the eigenvalues are one eigvalsh of Sigma + iJ/2, bit for bit, and the verdict is the sign rule on them
+    matrix = cov.matrix + 0.5j * moments.symplectic_form(cov.modes)
+    solve = np.linalg.eigvalsh(matrix)
+    assert np.array_equal(eigenvalues.view(np.int64), solve.view(np.int64))
+    assert ok == (solve[0] >= -tol * max(1.0, np.abs(matrix).max()))
+
+
 class TestScanStructure:
     """Sigma_lambda + iJ/2 = D (Sigma + iJ_lambda/2) D with D invertible and the right side affine in
     lambda, so the lambda with a negative eigenvalue form an interval starting at -1, the partial
@@ -656,8 +683,8 @@ def one_loop_scan(cov, partition, grid, tol=moments.PSD_TOL):
                     scaled = gaussian_cv.partial_scale(scaled, mode, lam)
         except ValueError:  # lambda is finite and nonzero: only an overflowing entry is refused
             return lows, violations, outside, ValueError(f"scaling parameter {lam} overflows the covariance matrix")
-        ok, low = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
-        lows.append(low)
+        ok, eigenvalues = moments.is_psd(moments.multimode_uncertainty_matrix(scaled), tol)
+        lows.append(float(eigenvalues[0]))
         if abs(lam) > 1.0:
             outside.append(lam)
         elif not ok:
